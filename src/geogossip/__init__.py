@@ -9,7 +9,7 @@ from .wire import (
     decode,
     encode,
 )
-from .sampling import EmptySeedError, EmptyViewError, PeerDescriptor, RandomView
+from .sampling import EmptyViewError, PeerDescriptor, RandomView
 from .overlay import RankedView, candidate_list
 from .scenario import (
     ChurnEvent,

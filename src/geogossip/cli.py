@@ -58,11 +58,16 @@ def cmd_gen(args) -> int:
 
 
 def _load(path: str):
+    """(scenario, 0), or (None, exit code) once the reason is reported:
+    1 when the file cannot be read, 2 when its content is invalid."""
     try:
-        return scn.load_scenario(path)
-    except (OSError, scn.ScenarioFormatError) as exc:
+        return scn.load_scenario(path), 0
+    except OSError as exc:
         print(f"error: cannot read scenario {path}: {exc}", file=sys.stderr)
-        return None
+        return None, 1
+    except scn.ScenarioFormatError as exc:
+        print(f"error: invalid scenario {path}: {exc}", file=sys.stderr)
+        return None, 2
 
 
 def _run_and_report(s, args, out_csv: str) -> int:
@@ -88,25 +93,25 @@ def _run_and_report(s, args, out_csv: str) -> int:
 
 
 def cmd_run(args) -> int:
-    s = _load(args.scenario)
+    s, rc = _load(args.scenario)
     if s is None:
-        return 1
+        return rc
     return _run_and_report(s, args, args.out)
 
 
 def cmd_churn_run(args) -> int:
-    s = _load(args.scenario)
+    s, rc = _load(args.scenario)
     if s is None:
-        return 1
+        return rc
     s = scn.add_random_churn(s, rounds=args.rounds, rate=args.rate,
                              region=args.region, radius_law=args.radius)
     return _run_and_report(s, args, args.out)
 
 
 def cmd_assign(args) -> int:
-    s = _load(args.scenario)
+    s, rc = _load(args.scenario)
     if s is None:
-        return 1
+        return rc
     if args.seed is not None:
         s = replace(s, rng_seed=args.seed)
     sim = simulate.Simulation(s)

@@ -5,8 +5,10 @@ circle-circle lens formula with the great-circle center distance.  The
 planar approximation is good to well under 0.1% for radii up to ~50 km,
 which covers every radio coordination area we simulate.
 
-The *_f functions are the raw float kernels; the dataclass wrappers
-delegate to them, so scores computed either way are bit-identical.
+distances_np is the one distance kernel: the overlay, its exchange
+buffers, the candidate lists, the oracle and the public helpers below all
+call it, so every candidacy decision and every utility comes from the
+same bits.
 """
 
 import math
@@ -41,50 +43,41 @@ class CoordinationArea:
             raise ValueError(f"radius must be finite and non-negative: {self.radius}")
 
 
-def distance_f(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
-    """Great-circle distance in meters (haversine) between raw coordinates."""
-    phi1 = math.radians(lat1)
-    phi2 = math.radians(lat2)
-    dphi = math.radians(lat2 - lat1)
-    dlam = math.radians(lon2 - lon1)
-    s = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(s)))
-
-
-def distance(a: GeoPoint, b: GeoPoint) -> float:
-    return distance_f(a.latitude, a.longitude, b.latitude, b.longitude)
-
-
 def distances_np(lat0: float, lon0: float, lats, lons):
-    """Vectorized haversine from one point to arrays of points (degrees
-    in, meters out).  All candidacy decisions in the protocol and the
-    ground-truth oracle go through this one kernel so they agree bitwise
-    even at the overlap boundary."""
+    """Haversine distances in meters from one point to others (degrees in).
+
+    lats and lons may be scalars or arrays; the result has their shape.
+    Each value is bit-identical whatever the call shape (scalar, 1-element
+    array or a slice of a longer array) and whichever end is the owner:
+    only elementwise ufuncs run, the coordinate differences are taken as
+    absolute values, and squares are products (a scalar ``**`` rounds
+    differently from the array loop).
+    """
     phi0 = np.radians(lat0)
-    lam0 = np.radians(lon0)
     phi = np.radians(lats)
-    lam = np.radians(lons)
-    h = np.sin((phi - phi0) / 2.0) ** 2 \
-        + np.cos(phi0) * np.cos(phi) * np.sin((lam - lam0) / 2.0) ** 2
+    a = np.sin(np.abs(phi - phi0) / 2.0)
+    b = np.sin(np.abs(np.radians(lons) - np.radians(lon0)) / 2.0)
+    h = a * a + np.cos(phi0) * np.cos(phi) * (b * b)
     return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(h)))
 
 
-def overlap_area_f(
-    lat1: float, lon1: float, r1: float, lat2: float, lon2: float, r2: float
-) -> float:
-    """Intersection area of two coordination disks, in square meters.
+def distance(a: GeoPoint, b: GeoPoint) -> float:
+    return float(distances_np(a.latitude, a.longitude, b.latitude, b.longitude))
 
-    Arguments are canonically ordered before evaluation so the floating
-    result is exactly symmetric under swapping the two disks.
+
+def overlap_area_f(d: float, r1: float, r2: float) -> float:
+    """Intersection area, in square meters, of two disks of radii r1 and
+    r2 whose centers are d meters apart.
+
+    The radii are put in order first, so the result is exactly symmetric
+    under swapping the two disks.
     """
-    if (r2, lat2, lon2) < (r1, lat1, lon1):
-        lat1, lon1, r1, lat2, lon2, r2 = lat2, lon2, r2, lat1, lon1, r1
-    d = distance_f(lat1, lon1, lat2, lon2)
+    if r2 < r1:
+        r1, r2 = r2, r1
     if d >= r1 + r2:
         return 0.0
-    if d <= abs(r1 - r2):
-        rm = min(r1, r2)
-        return math.pi * rm * rm
+    if d <= r2 - r1:
+        return math.pi * r1 * r1
     # lens formula
     alpha = math.acos(max(-1.0, min(1.0, (d * d + r1 * r1 - r2 * r2) / (2.0 * d * r1))))
     beta = math.acos(max(-1.0, min(1.0, (d * d + r2 * r2 - r1 * r1) / (2.0 * d * r2))))
@@ -95,16 +88,7 @@ def overlap_area_f(
 
 
 def overlap_area(a: CoordinationArea, b: CoordinationArea) -> float:
-    return overlap_area_f(
-        a.center.latitude, a.center.longitude, a.radius,
-        b.center.latitude, b.center.longitude, b.radius,
-    )
-
-
-def is_candidate_f(
-    lat1: float, lon1: float, r1: float, lat2: float, lon2: float, r2: float
-) -> bool:
-    return distance_f(lat1, lon1, lat2, lon2) < r1 + r2
+    return overlap_area_f(distance(a.center, b.center), a.radius, b.radius)
 
 
 def is_candidate(a: CoordinationArea, b: CoordinationArea) -> bool:
@@ -113,7 +97,4 @@ def is_candidate(a: CoordinationArea, b: CoordinationArea) -> bool:
     Tangent disks (center distance exactly r_a + r_b) do not count: a
     measure-zero contact carries no interference.
     """
-    return is_candidate_f(
-        a.center.latitude, a.center.longitude, a.radius,
-        b.center.latitude, b.center.longitude, b.radius,
-    )
+    return distance(a.center, b.center) < a.radius + b.radius

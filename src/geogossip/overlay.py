@@ -49,11 +49,6 @@ class RankedView:
         self.radius = radius
         self.capacity = capacity
         self.entries: dict[int, RankedEntry] = {}
-        # optional bulk distance resolver: items -> list of center distances
-        # (None per unknown item).  A host that already holds pairwise
-        # distances can plug it in so scoring reuses the exact same values
-        # as its oracle instead of recomputing them.
-        self.distance_fn = None
         # conservative lower bound on the oldest non-candidate timestamp;
         # lets merge skip the staleness scan while everything is fresh
         self._min_ts = float("inf")
@@ -67,20 +62,22 @@ class RankedView:
     def drop(self, node_id: int):
         self.entries.pop(node_id, None)
 
-    def score(self, item: DiscoveryItem) -> tuple[float, float, bool]:
-        """(utility, center distance, is-candidate) of an item for this owner."""
-        dist = self.distance_fn([item])[0] if self.distance_fn is not None else None
-        if dist is None:
-            dist = distances_np(self.lat, self.lon, item.latitude, item.longitude)
-        dist = float(dist)
-        if dist < self.radius + item.radius:
-            util = overlap_area_f(self.lat, self.lon, self.radius,
-                                  item.latitude, item.longitude, item.radius)
-            return util, dist, True
-        return 0.0, dist, False
-
-    def sorted_entries(self) -> list[RankedEntry]:
-        return sorted(self.entries.values(), key=_entry_key)
+    def score(self, items: list[DiscoveryItem]) -> list[RankedEntry]:
+        """An entry for each item, scored for this owner from one kernel
+        call over the batch."""
+        dists = distances_np(self.lat, self.lon,
+                             np.array([it.latitude for it in items]),
+                             np.array([it.longitude for it in items]))
+        radius = self.radius
+        scored = []
+        for item, dist in zip(items, dists):
+            dist = float(dist)
+            if dist < radius + item.radius:
+                util = overlap_area_f(dist, radius, item.radius)
+                scored.append(RankedEntry(item, util, dist, True))
+            else:
+                scored.append(RankedEntry(item, 0.0, dist, False))
+        return scored
 
     def candidate_ids(self) -> set[int]:
         return {nid for nid, e in self.entries.items() if e.candidate}
@@ -111,34 +108,10 @@ class RankedView:
                 continue
             pending[nid] = item
         if pending:
-            # resolve distances through the host's table when available,
-            # otherwise score the batch in one vectorized call
-            new = list(pending.values())
-            if self.distance_fn is not None:
-                dists = self.distance_fn(new)
-                missing = [k for k, d in enumerate(dists) if d is None]
-            else:
-                dists = [None] * len(new)
-                missing = list(range(len(new)))
-            if missing:
-                filled = distances_np(
-                    self.lat, self.lon,
-                    np.array([new[k].latitude for k in missing]),
-                    np.array([new[k].longitude for k in missing]),
-                )
-                for k, d in zip(missing, filled):
-                    dists[k] = d
-            for item, dist in zip(new, dists):
-                dist = float(dist)
-                if dist < self.radius + item.radius:
-                    util = overlap_area_f(self.lat, self.lon, self.radius,
-                                          item.latitude, item.longitude, item.radius)
-                    cand = True
-                else:
-                    util, cand = 0.0, False
-                    if item.timestamp_ms < self._min_ts:
-                        self._min_ts = item.timestamp_ms
-                self.entries[item.node_id] = RankedEntry(item, util, dist, cand)
+            for e in self.score(list(pending.values())):
+                if not e.candidate and e.item.timestamp_ms < self._min_ts:
+                    self._min_ts = e.item.timestamp_ms
+                self.entries[e.item.node_id] = e
         # staleness applies to non-candidates only: a pinned candidate must
         # never drop out while its node is alive (refresh gossip can lag past
         # any fixed window); dead candidates are removed by failed-contact
@@ -160,24 +133,6 @@ class RankedView:
             for e in ranked[self.capacity:]:
                 if not e.candidate:
                     del self.entries[e.item.node_id]
-
-
-def rank(owner_id: int, lat: float, lon: float, radius: float,
-         known: list[DiscoveryItem], capacity: int,
-         now_ms: int | None = None, stale_ms: int | None = None) -> RankedView:
-    """Score and rank a batch of known items into a fresh view."""
-    view = RankedView(owner_id, lat, lon, radius, capacity)
-    if now_ms is None:
-        now_ms = max((i.timestamp_ms for i in known), default=0)
-    if stale_ms is None:
-        stale_ms = now_ms + 1  # nothing stale
-    view.merge(known, now_ms, stale_ms)
-    return view
-
-
-def merge_ranked(view: RankedView, received, now_ms: int, stale_ms: int) -> RankedView:
-    view.merge(received, now_ms, stale_ms)
-    return view
 
 
 def select_target(view: RankedView, far: list[DiscoveryItem],
@@ -222,40 +177,28 @@ def select_target(view: RankedView, far: list[DiscoveryItem],
 def buffer_for(view: RankedView, random_view: RandomView | None,
                own_item: DiscoveryItem,
                peer_lat: float, peer_lon: float, peer_radius: float,
-               limit: int, distance_fn=None) -> list[DiscoveryItem]:
+               limit: int) -> list[DiscoveryItem]:
     """Exchange buffer tailored to the receiving peer.
 
     Own fresh descriptor first, then the known items most relevant to the
     peer: smallest gap between center distance and combined radii, i.e.
-    candidates of the peer before near misses before far strangers.
-
-    distance_fn optionally resolves item distances from the *peer's*
-    location out of a precomputed table (None per unknown item).
+    candidates of the peer before near misses before far strangers.  A
+    pool that fits the limit is sent whole, in no particular order: the
+    receiver keys everything by node id.
     """
     pool: dict[int, DiscoveryItem] = {e.item.node_id: e.item for e in view.entries.values()}
     if random_view is not None:
         for item in random_view.items():
             pool.setdefault(item.node_id, item)
     pool.pop(own_item.node_id, None)
-    if not pool:
-        return [own_item]
     items = list(pool.values())
-    if distance_fn is not None:
-        dists = distance_fn(items)
-        missing = [k for k, d in enumerate(dists) if d is None]
-    else:
-        dists = [None] * len(items)
-        missing = list(range(len(items)))
-    if missing:
-        filled = distances_np(
-            peer_lat, peer_lon,
-            np.array([items[k].latitude for k in missing]),
-            np.array([items[k].longitude for k in missing]),
-        )
-        for k, d in zip(missing, filled):
-            dists[k] = d
+    if len(items) <= limit:
+        return [own_item] + items
+    dists = distances_np(peer_lat, peer_lon,
+                         np.array([it.latitude for it in items]),
+                         np.array([it.longitude for it in items]))
     scored = [
-        (d - (peer_radius + item.radius), item.node_id, item)
+        (float(d) - (peer_radius + item.radius), item.node_id, item)
         for item, d in zip(items, dists)
     ]
     scored.sort(key=lambda t: (t[0], t[1]))
@@ -269,15 +212,8 @@ def candidate_list(view: RankedView, random_view: RandomView | None = None
         nid: (e.item, e.utility) for nid, e in view.entries.items() if e.candidate
     }
     if random_view is not None:
-        for item in random_view.items():
-            if item.node_id in best:
-                continue
-            util, _, cand = view.score(item)
-            if cand:
-                best[item.node_id] = (item, util)
+        unranked = [item for item in random_view.items() if item.node_id not in best]
+        for e in view.score(unranked):
+            if e.candidate:
+                best[e.item.node_id] = (e.item, e.utility)
     return sorted(best.values(), key=lambda pair: (-pair[1], pair[0].node_id))
-
-
-def export_candidate_lines(entries: list[tuple[DiscoveryItem, float]]) -> list[str]:
-    """Line-oriented export: node id, address, utility."""
-    return [f"{item.node_id}\t{item.address}\t{util!r}" for item, util in entries]

@@ -13,25 +13,28 @@ from random import Random
 from .wire import DiscoveryItem
 
 
-class EmptySeedError(Exception):
-    """A joining node was given no seed descriptors."""
-
-
 class EmptyViewError(Exception):
     """No peer available to exchange with."""
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _salt64(owner_id: int, node_id: int) -> int:
+    """Owner-specific 64-bit tie-break for node_id: splitmix64's finalizer
+    over the pair.  Plain integer arithmetic, so replay does not depend on
+    the interpreter's hash."""
+    z = (owner_id * 0x9E3779B97F4A7C15 + node_id) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 @dataclass
 class PeerDescriptor:
     item: DiscoveryItem
     age: int  # gossip rounds since the item was created
-    salted: int = 0  # owner-salted eviction tie-break, filled on insert
-
-
-def descriptor_from_item(item: DiscoveryItem, now_ms: int, period_ms: int) -> PeerDescriptor:
-    """Derive a descriptor whose age is reconstructed from the item timestamp."""
-    age = max(0, (now_ms - item.timestamp_ms) // period_ms) if period_ms > 0 else 0
-    return PeerDescriptor(item, int(age))
+    salted: int  # _salt64(owner, node id): the eviction tie-break
 
 
 class RandomView:
@@ -61,54 +64,36 @@ class RandomView:
         for desc in self.entries.values():
             desc.age += 1
 
-    def merge(self, received):
-        """Merge received descriptors: dedup keeping the freshest copy,
-        never store self, evict the oldest entries past capacity."""
-        salt = self.owner_id
-        for desc in received:
-            nid = desc.item.node_id
-            if nid == salt:
-                continue
-            cur = self.entries.get(nid)
-            if cur is None or (desc.age, -desc.item.timestamp_ms) < (cur.age, -cur.item.timestamp_ms):
-                self.entries[nid] = PeerDescriptor(desc.item, desc.age, hash((salt, nid)))
-        self._evict()
-
-    def merge_items(self, items, now_ms: int, period_ms: int):
-        """Merge raw items, ages reconstructed from their timestamps."""
-        salt = self.owner_id
+    def merge(self, items, now_ms: int, period_ms: int):
+        """Merge received items, ages reconstructed from their timestamps:
+        dedup keeping the freshest copy, never store self, evict the
+        oldest entries past capacity."""
+        owner = self.owner_id
         entries_get = self.entries.get
         for item in items:
             nid = item.node_id
-            if nid == salt:
+            if nid == owner:
                 continue
-            age = (now_ms - item.timestamp_ms) // period_ms if period_ms > 0 else 0
+            age = (now_ms - item.timestamp_ms) // period_ms
             if age < 0:
                 age = 0
             cur = entries_get(nid)
-            if cur is None or (age, -item.timestamp_ms) < (cur.age, -cur.item.timestamp_ms):
-                self.entries[nid] = PeerDescriptor(item, age, hash((salt, nid)))
+            if cur is None:
+                self.entries[nid] = PeerDescriptor(item, age, _salt64(owner, nid))
+            elif (age, -item.timestamp_ms) < (cur.age, -cur.item.timestamp_ms):
+                self.entries[nid] = PeerDescriptor(item, age, cur.salted)
         self._evict()
 
     def _evict(self):
         if len(self.entries) > self.capacity:
             # age/timestamp ties are common (items minted the same round), so
-            # the last tie-break is the owner-salted hash: a plain id ordering
+            # the last tie-break is the owner-salted mix: a plain id ordering
             # would evict the same nodes from every view in the overlay
             ranked = sorted(
                 self.entries.values(),
                 key=lambda d: (d.age, -d.item.timestamp_ms, d.salted),
             )
             self.entries = {d.item.node_id: d for d in ranked[: self.capacity]}
-
-
-def bootstrap(owner_id: int, seeds: list[DiscoveryItem], capacity: int) -> RandomView:
-    """Initial view for a joining node, built from seed descriptors at age 0."""
-    if not seeds:
-        raise EmptySeedError(f"node {owner_id} has no seeds")
-    view = RandomView(owner_id, capacity)
-    view.merge(PeerDescriptor(item, 0) for item in seeds)
-    return view
 
 
 def sample_partner(view: RandomView, rng: Random, strategy: str = "oldest") -> int:
@@ -132,19 +117,7 @@ def make_push_buffer(
     return [own_item] + [view.entries[n].item for n in picked]
 
 
-def sample_exchange(
-    view: RandomView,
-    own_item: DiscoveryItem,
-    half: int,
-    rng: Random,
-    strategy: str = "oldest",
-) -> tuple[int, list[DiscoveryItem]]:
-    """One initiated exchange: returns (partner id, push buffer)."""
-    partner = sample_partner(view, rng, strategy)
-    return partner, make_push_buffer(view, own_item, half, rng)
-
-
 def merge_random(view: RandomView, received, now_ms: int, period_ms: int) -> RandomView:
     """Merge received items into the view (ages derived from timestamps)."""
-    view.merge_items(received, now_ms, period_ms)
+    view.merge(received, now_ms, period_ms)
     return view

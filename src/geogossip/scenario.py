@@ -12,6 +12,7 @@ from ipaddress import IPv6Address
 from random import Random
 
 from .geometry import EARTH_RADIUS_M, GeoPoint
+from .wire import check_ranges
 
 METERS_PER_DEG_LAT = EARTH_RADIUS_M * math.pi / 180.0
 
@@ -23,7 +24,10 @@ class InvalidRegionError(ValueError):
 
 
 class ScenarioFormatError(ValueError):
-    """Scenario file could not be parsed."""
+    """Scenario file could not be parsed, or holds out-of-range values."""
+
+
+PARTNER_STRATEGIES = ("oldest", "uniform")
 
 
 def address_for(node_id: int) -> IPv6Address:
@@ -43,6 +47,22 @@ class Params:
     stale_rounds: int = 10
     partner_strategy: str = "oldest"
 
+    def __post_init__(self):
+        for name in ("c_rand", "c_rank"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1: {getattr(self, name)}")
+        for name in ("c_far", "recent_rounds", "stale_rounds"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0: {getattr(self, name)}")
+        if not 0 <= self.sample_half <= self.c_rand:
+            raise ValueError(f"sample_half must be in [0, c_rand]: {self.sample_half}")
+        if not 0.0 <= self.p_far <= 1.0:
+            raise ValueError(f"p_far must be in [0, 1]: {self.p_far}")
+        if self.partner_strategy not in PARTNER_STRATEGIES:
+            raise ValueError(f"unknown partner_strategy: {self.partner_strategy!r}")
+        if not (math.isfinite(self.period_seconds) and self.period_ms >= 1):
+            raise ValueError(f"period must be positive: {self.period_seconds}")
+
     @property
     def period_ms(self) -> int:
         return int(round(self.period_seconds * 1000))
@@ -58,6 +78,12 @@ class NodeSpec:
     latitude: float
     longitude: float
     radius: float
+
+    def __post_init__(self):
+        # the ranges of the discovery item the node will emit
+        if not 0 <= self.node_id < 1 << 64:
+            raise ValueError(f"node_id out of 64-bit range: {self.node_id}")
+        check_ranges(self.latitude, self.longitude, self.radius)
 
 
 @dataclass
@@ -92,8 +118,6 @@ class Scenario:
         missing = [s for s in self.seeds if s not in initial]
         if missing:
             raise ValueError(f"seeds not present at round 0: {missing}")
-        if self.params.period_seconds <= 0:
-            raise ValueError("period must be positive")
 
 
 def _radius_law(spec) -> tuple[float, float]:
@@ -287,7 +311,9 @@ def loads(text: str) -> Scenario:
             continue
         try:
             if section is None:
-                key, _, value = line.partition("=")
+                key, sep, value = line.partition("=")
+                if not sep:
+                    raise ValueError(f"expected 'key = value', got {line!r}")
                 header[key.strip()] = value.strip()
             elif section == "nodes":
                 nid, lat, lon, r = line.split()
@@ -306,20 +332,15 @@ def loads(text: str) -> Scenario:
                     raise ValueError(f"unknown churn op {op!r}")
             else:
                 raise ValueError(f"unknown section {section!r}")
-        except ValueError as exc:
+        except (ValueError, IndexError) as exc:
             raise ScenarioFormatError(f"line {lineno}: {exc}") from exc
-    params = Params()
-    for name, conv in _PARAM_FIELDS:
-        if name in header:
-            setattr(params, name, conv(header[name]))
     try:
-        return Scenario(
-            nodes=nodes,
-            seeds=seeds,
-            params=params,
-            churn=churn,
-            rng_seed=int(header.get("rng_seed", "0")),
-        )
+        params = Params(**{name: conv(header.pop(name)) for name, conv in _PARAM_FIELDS
+                           if name in header})
+        rng_seed = int(header.pop("rng_seed", "0"))
+        if header:
+            raise ValueError(f"unknown header keys: {sorted(header)}")
+        return Scenario(nodes=nodes, seeds=seeds, params=params, churn=churn, rng_seed=rng_seed)
     except ValueError as exc:
         raise ScenarioFormatError(str(exc)) from exc
 
@@ -331,4 +352,8 @@ def save_scenario(s: Scenario, path) -> None:
 
 def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="ascii") as fh:
-        return loads(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ScenarioFormatError(f"not an ASCII scenario file: {exc}") from exc
+    return loads(text)

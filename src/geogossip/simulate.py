@@ -18,13 +18,12 @@ from .geometry import distances_np
 from .overlay import RankedView, buffer_for, candidate_list, select_target
 from .sampling import (
     EmptyViewError,
-    PeerDescriptor,
     RandomView,
     make_push_buffer,
     merge_random,
     sample_partner,
 )
-from .scenario import ChurnEvent, NodeSpec, Params, Scenario, address_for
+from .scenario import METERS_PER_DEG_LAT, ChurnEvent, NodeSpec, Params, Scenario, address_for
 from .wire import FRAME_LEN, DiscoveryItem
 
 
@@ -81,46 +80,76 @@ def convergence_round(series: MetricsSeries, threshold: float) -> int | None:
     return None
 
 
-def _geometry_tables(specs: list[NodeSpec]):
-    """(ids, radii, full pairwise distance matrix) for a membership set."""
-    ids = [s.node_id for s in specs]
-    lats = np.array([s.latitude for s in specs])
-    lons = np.array([s.longitude for s in specs])
-    rads = np.array([s.radius for s in specs])
-    n = len(specs)
-    dmat = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        dmat[i] = distances_np(lats[i], lons[i], lats, lons)
-    return ids, rads, dmat
+class LatitudeIndex:
+    """The exhaustive candidate oracle over a changing membership.
 
+    Nodes are kept sorted by latitude.  Great-circle distance is never
+    less than the meridian arc between two latitudes, so every candidate
+    of node i lies in the band |lat - lat_i| <= r_i + r_max, where r_max
+    bounds every member's radius: scanning that band with the one distance
+    kernel gives i's exact candidate set anywhere on the sphere, across
+    the antimeridian and at the poles alike.  A join or a leave updates
+    the sorted arrays and the candidate sets it belongs to; nothing is
+    rebuilt, and memory stays linear in the membership.
+    """
 
-def _ground_truth_from_tables(ids, rads, dmat) -> dict[int, set[int]]:
-    gt: dict[int, set[int]] = {}
-    for i, nid in enumerate(ids):
-        near = dmat[i] < rads[i] + rads
-        near[i] = False
-        gt[nid] = {ids[j] for j in np.nonzero(near)[0]}
-    return gt
+    # margins (relative, and degrees) that widen the band far beyond the
+    # rounding in the kernel and in the latitudes, so that rounding can
+    # never place a candidate just outside it
+    _BAND_REL = 1.0 + 1e-6
+    _BAND_DEG = 1e-9
+
+    def __init__(self, specs: list[NodeSpec]):
+        specs = sorted(specs, key=lambda s: s.latitude)
+        self.ids = [s.node_id for s in specs]
+        self.lats = np.array([s.latitude for s in specs], dtype=np.float64)
+        self.lons = np.array([s.longitude for s in specs], dtype=np.float64)
+        self.rads = np.array([s.radius for s in specs], dtype=np.float64)
+        self.r_max = float(self.rads.max()) if specs else 0.0  # never lowered
+        self.candidates: dict[int, set[int]] = {
+            s.node_id: self._scan(s) for s in specs
+        }
+
+    def _scan(self, spec: NodeSpec) -> set[int]:
+        """Ids of the members whose disks strictly overlap spec's."""
+        half = (spec.radius + self.r_max) / METERS_PER_DEG_LAT * self._BAND_REL + self._BAND_DEG
+        lo = int(np.searchsorted(self.lats, spec.latitude - half, side="left"))
+        hi = int(np.searchsorted(self.lats, spec.latitude + half, side="right"))
+        dists = distances_np(spec.latitude, spec.longitude, self.lats[lo:hi], self.lons[lo:hi])
+        near = np.flatnonzero(dists < spec.radius + self.rads[lo:hi])
+        found = {self.ids[lo + k] for k in near}
+        found.discard(spec.node_id)
+        return found
+
+    def add(self, spec: NodeSpec):
+        pos = int(np.searchsorted(self.lats, spec.latitude))
+        self.ids.insert(pos, spec.node_id)
+        self.lats = np.insert(self.lats, pos, spec.latitude)
+        self.lons = np.insert(self.lons, pos, spec.longitude)
+        self.rads = np.insert(self.rads, pos, spec.radius)
+        self.r_max = max(self.r_max, spec.radius)
+        found = self._scan(spec)
+        for other in found:
+            self.candidates[other].add(spec.node_id)
+        self.candidates[spec.node_id] = found
+
+    def remove(self, spec: NodeSpec):
+        lo = int(np.searchsorted(self.lats, spec.latitude, side="left"))
+        hi = int(np.searchsorted(self.lats, spec.latitude, side="right"))
+        pos = lo + self.ids[lo:hi].index(spec.node_id)
+        del self.ids[pos]
+        self.lats = np.delete(self.lats, pos)
+        self.lons = np.delete(self.lons, pos)
+        self.rads = np.delete(self.rads, pos)
+        for other in self.candidates.pop(spec.node_id):
+            self.candidates[other].discard(spec.node_id)
 
 
 def compute_ground_truth(specs: list[NodeSpec]) -> dict[int, set[int]]:
-    """Exhaustive pairwise candidate sets (the O(n^2) oracle).
-
-    Built from the same vectorized haversine matrix the simulator feeds
-    to overlay scoring, so oracle and protocol never disagree on a
-    borderline pair.
-    """
-    if not specs:
-        return {}
-    return _ground_truth_from_tables(*_geometry_tables(specs))
-
-
-def _matrix_lookup(row, idx):
-    """Bulk distance resolver over one row of the pairwise matrix."""
-    def lookup(items):
-        get = idx.get
-        return [row[j] if (j := get(it.node_id)) is not None else None for it in items]
-    return lookup
+    """Exhaustive pairwise candidate sets, from the same kernel the overlay
+    scores with, so oracle and protocol never disagree on a borderline
+    pair."""
+    return LatitudeIndex(specs).candidates
 
 
 def live_specs_at(scenario: Scenario, round_index: int) -> list[NodeSpec]:
@@ -144,7 +173,7 @@ def ground_truth(scenario: Scenario, round_index: int = 0) -> dict[int, set[int]
 
 class _Node:
     __slots__ = ("spec", "address", "random_view", "ranked", "far", "recent",
-                 "join_round", "dist_lookup", "_own")
+                 "join_round", "_own")
 
     def __init__(self, spec: NodeSpec, params: Params, address, join_round: int):
         self.spec = spec
@@ -156,7 +185,6 @@ class _Node:
         )
         self.far: list[DiscoveryItem] = []
         self.recent: deque[int] = deque(maxlen=params.recent_rounds)
-        self.dist_lookup = None  # set by the simulation's table rebuild
         self._own: DiscoveryItem | None = None
 
     def own_item(self, now_ms: int) -> DiscoveryItem:
@@ -189,17 +217,14 @@ class Simulation:
         self.nodes: dict[int, _Node] = {}
         self.series = MetricsSeries()
         self.emitted: set[tuple[int, object]] | None = set() if collect_emitted else None
-        self._gt: dict[int, set[int]] | None = None
+        self.oracle = LatitudeIndex(scenario.nodes)
         self._churn_by_round: dict[int, list[ChurnEvent]] = {}
         for ev in scenario.churn:
             self._churn_by_round.setdefault(ev.round, []).append(ev)
         # create every round-0 node before bootstrapping any of them, so
-        # each one can reach the designated seed regardless of id order;
-        # distance tables go in between so even bootstrap scoring reads
-        # the shared matrix
+        # each one can reach the designated seed regardless of id order
         for spec in scenario.nodes:
             self._create_node(spec, join_round=0)
-        self._rebuild_tables()
         for spec in scenario.nodes:
             self._bootstrap_node(self.nodes[spec.node_id], now_ms=0)
 
@@ -213,7 +238,6 @@ class Simulation:
             raise ValueError(f"node {spec.node_id} already alive")
         node = _Node(spec, self.params, self._endpoint(spec.node_id), join_round)
         self.nodes[spec.node_id] = node
-        self._gt = None
         return node
 
     def _bootstrap_node(self, node: _Node, now_ms: int):
@@ -228,7 +252,7 @@ class Simulation:
             others = sorted(set(self.nodes) - {own_id})
             seeds = [self.nodes[self.rng.choice(others)].own_item(now_ms)]
         if seeds:
-            node.random_view.merge(PeerDescriptor(item, 0) for item in seeds)
+            node.random_view.merge(seeds, now_ms, self.params.period_ms)
             node.ranked.merge(seeds, now_ms, self.params.stale_ms)
 
     def apply_churn(self, events: list[ChurnEvent], now_ms: int | None = None):
@@ -238,40 +262,13 @@ class Simulation:
         for ev in events:
             if ev.op == "join":
                 joined.append(self._create_node(ev.node, join_round=self.round))
+                self.oracle.add(ev.node)
             else:
                 if ev.node_id not in self.nodes:
                     raise UnknownNodeError(ev.node_id)
-                del self.nodes[ev.node_id]
-                self._gt = None
-        if self._gt is None:
-            self._rebuild_tables()
+                self.oracle.remove(self.nodes.pop(ev.node_id).spec)
         for node in joined:
             self._bootstrap_node(node, now_ms)
-
-    def _rebuild_tables(self):
-        """Recompute the pairwise distance matrix, ground truth, and each
-        node's matrix-backed distance resolver for the current membership."""
-        if not self.nodes:
-            self._gt = {}
-            return
-        specs = [n.spec for n in self.nodes.values()]
-        ids = [s.node_id for s in specs]
-        lats = np.array([s.latitude for s in specs])
-        lons = np.array([s.longitude for s in specs])
-        rads = np.array([s.radius for s in specs])
-        idx = {nid: i for i, nid in enumerate(ids)}
-        gt: dict[int, set[int]] = {}
-        for i, nid in enumerate(ids):
-            row = distances_np(lats[i], lons[i], lats, lons)
-            near = row < rads[i] + rads
-            near[i] = False
-            gt[nid] = {ids[j] for j in np.nonzero(near)[0]}
-            node = self.nodes[nid]
-            # plain-list rows: scalar indexing in the hot lookup path is
-            # several times faster than indexing a numpy row
-            node.dist_lookup = _matrix_lookup(row.tolist(), idx)
-            node.ranked.distance_fn = node.dist_lookup
-        self._gt = gt
 
     def _forget(self, node: _Node, dead_id: int):
         node.random_view.drop(dead_id)
@@ -315,7 +312,6 @@ class Simulation:
             node.ranked, node.random_view, node.own_item(now_ms),
             peer.spec.latitude, peer.spec.longitude, peer.spec.radius,
             limit=self.params.c_rank + self.params.c_rand,
-            distance_fn=peer.dist_lookup,
         )
 
     def _overlay_exchange(self, node: _Node, now_ms: int, sent: dict[int, int]):
@@ -350,8 +346,6 @@ class Simulation:
     def step(self) -> MetricsRow:
         now_ms = self.round * self.params.period_ms
         self.apply_churn(self._churn_by_round.get(self.round, []), now_ms)
-        if self._gt is None:
-            self._rebuild_tables()
         sent: dict[int, int] = {}
         order = sorted(self.nodes)
         self.rng.shuffle(order)
@@ -375,7 +369,7 @@ class Simulation:
         recalls = []
         settled = []
         for node in live:
-            gt = self._gt.get(node.spec.node_id, set())
+            gt = self.oracle.candidates[node.spec.node_id]
             if gt:
                 found = node.ranked.candidate_ids()
                 recall = len(found & gt) / len(gt)

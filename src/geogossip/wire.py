@@ -47,20 +47,11 @@ class DiscoveryItem:
             raise ValueError(f"node_id out of 64-bit range: {self.node_id}")
         if not 0 <= self.timestamp_ms < 1 << 64:
             raise ValueError(f"timestamp out of 64-bit range: {self.timestamp_ms}")
-        _check_ranges(self.latitude, self.longitude, self.radius)
-
-    def location(self):
-        from .geometry import GeoPoint
-
-        return GeoPoint(self.latitude, self.longitude)
-
-    def area(self):
-        from .geometry import CoordinationArea, GeoPoint
-
-        return CoordinationArea(GeoPoint(self.latitude, self.longitude), self.radius)
+        check_ranges(self.latitude, self.longitude, self.radius)
 
 
-def _check_ranges(lat, lon, radius):
+def check_ranges(lat, lon, radius):
+    """Raise FieldRangeError unless the coordinates and radius are valid."""
     if not (math.isfinite(lat) and -90.0 <= lat <= 90.0):
         raise FieldRangeError(f"latitude out of range: {lat!r}")
     if not (math.isfinite(lon) and -180.0 <= lon < 180.0):
@@ -86,7 +77,7 @@ def decode(frame: bytes) -> DiscoveryItem:
     if len(frame) != FRAME_LEN:
         raise FrameLengthError(f"expected {FRAME_LEN} bytes, got {len(frame)}")
     node_id, lat, lon, radius = _HEADER.unpack(frame[:32])
-    _check_ranges(lat, lon, radius)
+    check_ranges(lat, lon, radius)
     address: IPv4Address | IPv6Address = IPv6Address(frame[32:48])
     mapped = address.ipv4_mapped
     if mapped is not None:

@@ -13,7 +13,7 @@ from random import Random
 
 import pytest
 
-from geogossip.geometry import EARTH_RADIUS_M, distance_f, overlap_area_f
+from geogossip.geometry import EARTH_RADIUS_M, GeoPoint, distance, overlap_area_f
 from geogossip.scenario import (
     Params,
     add_random_churn,
@@ -149,8 +149,8 @@ def test_05_oracle_equivalence(report):
 
 
 def test_06_geometry(report):
-    lens = overlap_area_f(0.0, 0.0, 1.0,
-                          1.0 / (EARTH_RADIUS_M * math.pi / 180.0), 0.0, 1.0)
+    unit_d = distance(GeoPoint(0.0, 0.0), GeoPoint(1.0 / (EARTH_RADIUS_M * math.pi / 180.0), 0.0))
+    lens = overlap_area_f(unit_d, 1.0, 1.0)
     lens_ok = abs(lens - 1.22837) <= 1e-4
     rng = Random(0x6E0)
     mc_ok = True
@@ -160,8 +160,8 @@ def test_06_geometry(report):
         r2 = rng.uniform(10.0, 1000.0)
         d = rng.uniform(0.0, (r1 + r2) * 1.1)
         lat2 = d / (EARTH_RADIUS_M * math.pi / 180.0)
-        exact_d = distance_f(0.0, 0.0, lat2, 0.0)
-        got = overlap_area_f(0.0, 0.0, r1, lat2, 0.0, r2)
+        exact_d = distance(GeoPoint(0.0, 0.0), GeoPoint(lat2, 0.0))
+        got = overlap_area_f(exact_d, r1, r2)
         estimate, stderr = mc_overlap_area(r1, r2, exact_d, samples=10_000_000, seed=i)
         sigma = abs(got - estimate) / stderr if stderr > 0 else 0.0
         worst_sigma = max(worst_sigma, sigma)

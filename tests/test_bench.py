@@ -1,0 +1,44 @@
+"""The benchmark under bench/ drives the program by name: run.py calls the
+public API and tracer.py wraps layer entry points by attribute.  These
+tests fail when a change to the program breaks either."""
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from geogossip import spectrum
+from geogossip.scenario import four_node_demo
+from geogossip.simulate import Simulation
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_self_test_passes():
+    proc = subprocess.run([sys.executable, str(ROOT / "bench" / "run.py"), "--self-test"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_tracer_reports_every_layer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        sim = Simulation(four_node_demo())
+        t.live = sim.nodes
+        for _ in range(3):
+            sim.step()
+        g = spectrum.build_graph(sim.candidate_lists())
+        spectrum.greedy_assign(g, 3)
+    finally:
+        t.uninstall()
+    metrics, round_s = t.metrics()
+    assert round_s > 0.0
+    assert set(t.names) == set(tracer.SELF_TIMES)  # every wrapped layer was entered
+    per_layer = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    # run.py adds trace.overhead itself, from an untraced run beside the traced one
+    assert per_layer - {"trace.overhead"} <= set(metrics)

@@ -74,6 +74,20 @@ class TestRun:
         assert a.read_text() == b.read_text()
 
 
+@pytest.mark.parametrize("command", [
+    ["run"], ["churn-run", "--rounds", "2"], ["assign", "--rounds", "2"],
+], ids=["run", "churn-run", "assign"])
+@pytest.mark.parametrize("text", [
+    "c_rand = abc\n", "c_rand = 0\n", "[nodes]\n1 95.0 0.0 100.0\n\n[seeds]\n1\n",
+], ids=["non-numeric", "zero-capacity", "latitude-95"])
+def test_invalid_scenario_exits_2(command, text, tmp_path, capsys):
+    path = tmp_path / "bad.scn"
+    path.write_text(text)
+    rc = main([command[0], str(path), "--out", str(tmp_path / "out.csv")] + command[1:])
+    assert rc == 2
+    assert "invalid scenario" in capsys.readouterr().err
+
+
 class TestChurnRun:
     def test_runs_with_schedule(self, tmp_path, capsys):
         scn_path = tmp_path / "scn.txt"

@@ -1,6 +1,7 @@
 import math
 from random import Random
 
+import numpy as np
 import pytest
 
 from geogossip.geometry import (
@@ -8,9 +9,11 @@ from geogossip.geometry import (
     CoordinationArea,
     GeoPoint,
     distance,
+    distances_np,
     is_candidate,
     overlap_area,
 )
+from geogossip.scenario import generate_scenario
 from helpers import mc_overlap_area
 
 DEG_M = EARTH_RADIUS_M * math.pi / 180.0  # meters per degree along a meridian
@@ -54,6 +57,42 @@ class TestDistance:
             a, b, c = (random_point(rng) for _ in range(3))
             ab, bc, ac = distance(a, b), distance(b, c), distance(a, c)
             assert ac <= ab + bc + 1e-6 * max(ab + bc, 1.0)
+
+
+class TestKernel:
+    """distances_np decides every candidacy, so its bits must not depend
+    on how it is called."""
+
+    def test_bit_identical_for_any_call_shape_and_owner(self):
+        sc = generate_scenario(120, region=(10_000.0, 10_000.0), radius_law=(100.0, 600.0),
+                               rng_seed=3)
+        lats = np.array([n.latitude for n in sc.nodes])
+        lons = np.array([n.longitude for n in sc.nodes])
+        n = len(lats)
+        rows = np.array([distances_np(lats[i], lons[i], lats, lons) for i in range(n)])
+        assert n * n >= 10_000
+        assert np.array_equal(rows, rows.T)  # either end as the owner
+        rng = Random(4)
+        for i in range(n):
+            lo = rng.randrange(n)
+            hi = rng.randrange(lo + 1, n + 1)
+            assert np.array_equal(distances_np(lats[i], lons[i], lats[lo:hi], lons[lo:hi]),
+                                  rows[i, lo:hi])
+            for j in range(n):
+                assert distances_np(lats[i], lons[i], lats[j], lons[j]) == rows[i, j]
+                assert distances_np(float(lats[i]), float(lons[i]),
+                                    lats[j:j + 1], lons[j:j + 1])[0] == rows[i, j]
+
+    def test_public_helpers_use_the_kernel(self):
+        rng = Random(9)
+        for _ in range(1000):
+            a, b = random_point(rng), random_point(rng)
+            ra, rb = rng.uniform(0, 5e6), rng.uniform(0, 5e6)
+            d = distances_np(a.latitude, a.longitude,
+                             np.array([b.latitude]), np.array([b.longitude]))[0]
+            assert distance(a, b) == d
+            assert is_candidate(area(a.latitude, a.longitude, ra),
+                                area(b.latitude, b.longitude, rb)) == (d < ra + rb)
 
 
 class TestValidation:

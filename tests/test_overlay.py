@@ -5,17 +5,14 @@ from random import Random
 
 import pytest
 
-from geogossip.geometry import EARTH_RADIUS_M, distance_f, overlap_area_f
+from geogossip.geometry import EARTH_RADIUS_M, distances_np, overlap_area_f
 from geogossip.overlay import (
     RankedView,
     buffer_for,
     candidate_list,
-    export_candidate_lines,
-    merge_ranked,
-    rank,
     select_target,
 )
-from geogossip.sampling import EmptyViewError, PeerDescriptor, RandomView
+from geogossip.sampling import EmptyViewError, RandomView
 from geogossip.wire import DiscoveryItem
 
 DEG_M = EARTH_RADIUS_M * math.pi / 180.0
@@ -37,29 +34,46 @@ def view_at(owner_id=1, radius=500.0, capacity=20):
     return RankedView(owner_id, 0.0, 0.0, radius, capacity)
 
 
+def ranked_ids(view):
+    return [e.item.node_id for e in sorted(view.entries.values(), key=lambda e: e.key)]
+
+
+def random_view_with(owner_id, items):
+    """A random view holding items, each at age 0."""
+    rv = RandomView(owner_id=owner_id, capacity=10)
+    rv.merge(items, now_ms=max(i.timestamp_ms for i in items), period_ms=15_000)
+    return rv
+
+
 class TestScoring:
     def test_overlapping_item_is_candidate(self):
         view = view_at(radius=500.0)
-        util, dist, cand = view.score(item_at(2, 600.0, 0.0, 200.0))
-        assert cand
-        assert util > 0.0
-        assert util == pytest.approx(
-            overlap_area_f(0.0, 0.0, 500.0, 600.0 / DEG_M, 0.0, 200.0)
-        )
+        [e] = view.score([item_at(2, 600.0, 0.0, 200.0)])
+        assert e.candidate
+        assert e.utility > 0.0
+        assert e.dist == distances_np(0.0, 0.0, 600.0 / DEG_M, 0.0)
+        assert e.utility == overlap_area_f(e.dist, 500.0, 200.0)
 
     def test_disjoint_item_scores_zero(self):
         view = view_at(radius=500.0)
-        util, dist, cand = view.score(item_at(2, 5000.0, 0.0, 200.0))
-        assert (util, cand) == (0.0, False)
-        assert dist == pytest.approx(5000.0, rel=1e-3)
+        [e] = view.score([item_at(2, 5000.0, 0.0, 200.0)])
+        assert (e.utility, e.candidate) == (0.0, False)
+        assert e.dist == pytest.approx(5000.0, rel=1e-3)
 
     def test_tangent_item_not_candidate(self):
         view = view_at(radius=500.0)
         far = item_at(2, 3000.0, 0.0, 100.0)
-        d = distance_f(0.0, 0.0, far.latitude, far.longitude)
-        tangent = replace(far, radius=d - 500.0)
-        util, _, cand = view.score(tangent)
-        assert (util, cand) == (0.0, False)
+        d = float(distances_np(0.0, 0.0, far.latitude, far.longitude))
+        # the radius whose sum with the owner's is exactly the kernel distance
+        r = d - 500.0
+        while 500.0 + r < d:
+            r = math.nextafter(r, math.inf)
+        while 500.0 + r > d:
+            r = math.nextafter(r, -math.inf)
+        assert 500.0 + r == d
+        tangent = replace(far, radius=r)
+        [e] = view.score([tangent])
+        assert (e.utility, e.candidate) == (0.0, False)
 
 
 class TestRanking:
@@ -70,18 +84,19 @@ class TestRanking:
         close_miss = item_at(4, 2000.0, 0.0, 100.0)
         far_miss = item_at(5, 8000.0, 0.0, 100.0)
         view.merge([far_miss, close_miss, edge, near], now_ms=2000, stale_ms=10**9)
-        assert [e.item.node_id for e in view.sorted_entries()] == [2, 3, 4, 5]
+        assert ranked_ids(view) == [2, 3, 4, 5]
 
     def test_id_breaks_exact_ties(self):
         view = view_at(radius=500.0)
         a = item_at(9, 1000.0, 0.0, 100.0)
         b = item_at(3, 1000.0, 0.0, 100.0)
         view.merge([a, b], now_ms=2000, stale_ms=10**9)
-        assert [e.item.node_id for e in view.sorted_entries()] == [3, 9]
+        assert ranked_ids(view) == [3, 9]
 
     def test_rank_batch(self):
         items = [item_at(i, 300.0 * i, 0.0, 200.0) for i in range(2, 8)]
-        view = rank(1, 0.0, 0.0, 500.0, items, capacity=10)
+        view = view_at(radius=500.0, capacity=10)
+        view.merge(items, now_ms=1000, stale_ms=10**9)
         assert len(view) == 6
         assert view.candidate_ids() == {2}
 
@@ -130,8 +145,8 @@ class TestMerge:
 
     def test_merge_ranked_wrapper(self):
         view = view_at()
-        out = merge_ranked(view, [item_at(2, 100.0, 0.0, 50.0)], now_ms=2000, stale_ms=10**9)
-        assert out is view and 2 in view
+        view.merge([item_at(2, 100.0, 0.0, 50.0)], now_ms=2000, stale_ms=10**9)
+        assert 2 in view
 
 
 class TestSelectTarget:
@@ -185,9 +200,7 @@ class TestBufferFor:
 
     def test_pool_includes_random_view(self):
         view = view_at(owner_id=1, radius=500.0)
-        rv = RandomView(owner_id=1, capacity=10)
-        stranger = item_at(9, 9800.0, 0.0, 50.0)
-        rv.merge([PeerDescriptor(stranger, 0)])
+        rv = random_view_with(1, [item_at(9, 9800.0, 0.0, 50.0)])
         own = item_at(1, 0.0, 0.0, 500.0)
         buf = buffer_for(view, rv, own, 10_000.0 / DEG_M, 0.0, 500.0, limit=5)
         assert 9 in {i.node_id for i in buf}
@@ -195,8 +208,7 @@ class TestBufferFor:
     def test_own_id_not_duplicated(self):
         view = view_at(owner_id=1, radius=500.0)
         view.merge([item_at(2, 100.0, 0.0, 50.0)], now_ms=2000, stale_ms=10**9)
-        rv = RandomView(owner_id=1, capacity=10)
-        rv.merge([PeerDescriptor(item_at(1, 0.0, 0.0, 500.0, ts=1), 3)])
+        rv = random_view_with(1, [item_at(1, 0.0, 0.0, 500.0, ts=1)])
         own = item_at(1, 0.0, 0.0, 500.0, ts=999)
         buf = buffer_for(view, rv, own, 0.0, 0.0, 500.0, limit=5)
         assert [i.node_id for i in buf].count(1) == 1
@@ -216,16 +228,14 @@ class TestCandidateList:
 
     def test_includes_candidates_known_only_to_random_view(self):
         view = view_at(owner_id=1, radius=500.0)
-        rv = RandomView(owner_id=1, capacity=10)
-        rv.merge([PeerDescriptor(item_at(5, 200.0, 0.0, 400.0), 0)])
+        rv = random_view_with(1, [item_at(5, 200.0, 0.0, 400.0)])
         got = candidate_list(view, rv)
         assert [item.node_id for item, _ in got] == [5]
 
     def test_export_lines(self):
         view = view_at(radius=500.0)
         view.merge([item_at(2, 100.0, 0.0, 400.0)], now_ms=2000, stale_ms=10**9)
-        lines = export_candidate_lines(candidate_list(view))
-        assert len(lines) == 1
-        nid, addr, util = lines[0].split("\t")
-        assert nid == "2"
-        assert float(util) > 0.0
+        [(item, util)] = candidate_list(view)
+        assert item.node_id == 2
+        assert item.address == IPv4Address("10.0.0.1") + 2
+        assert util > 0.0

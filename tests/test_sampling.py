@@ -6,28 +6,28 @@ import pytest
 from scipy.stats import chisquare
 
 from geogossip.sampling import (
-    EmptySeedError,
     EmptyViewError,
-    PeerDescriptor,
     RandomView,
-    bootstrap,
-    descriptor_from_item,
     make_push_buffer,
     merge_random,
-    sample_exchange,
     sample_partner,
 )
+from geogossip.scenario import four_node_demo
+from geogossip.simulate import Simulation
 from helpers import random_item
 
+PERIOD = 15_000
+NOW = 1_000 * PERIOD
 
-def fill(view, rng, n, age=0, ts=None):
-    items = []
-    for i in range(n):
-        item = random_item(rng, node_id=1000 + i)
-        if ts is not None:
-            item = replace(item, timestamp_ms=ts)
-        items.append(item)
-    view.merge(PeerDescriptor(it, age) for it in items)
+
+def merge_aged(view, items, age):
+    """Merge items stamped `age` gossip periods before NOW."""
+    view.merge([replace(it, timestamp_ms=NOW - age * PERIOD) for it in items], NOW, PERIOD)
+
+
+def fill(view, rng, n, age=0):
+    items = [random_item(rng, node_id=1000 + i) for i in range(n)]
+    merge_aged(view, items, age)
     return items
 
 
@@ -42,11 +42,10 @@ class TestRandomView:
         rng = Random(21)
         view = RandomView(owner_id=1, capacity=10)
         item = random_item(rng, node_id=5)
-        view.merge([PeerDescriptor(item, 4)])
-        newer = replace(item, timestamp_ms=item.timestamp_ms)
-        view.merge([PeerDescriptor(newer, 1)])
+        merge_aged(view, [item], 4)
+        merge_aged(view, [item], 1)
         assert view.entries[5].age == 1
-        view.merge([PeerDescriptor(item, 3)])
+        merge_aged(view, [item], 3)
         assert view.entries[5].age == 1  # older copy ignored
 
     def test_capacity_bound_evicts_oldest(self):
@@ -54,7 +53,7 @@ class TestRandomView:
         view = RandomView(owner_id=1, capacity=10)
         fill(view, rng, 10, age=5)
         young = [random_item(rng, node_id=2000 + i) for i in range(4)]
-        view.merge(PeerDescriptor(it, 0) for it in young)
+        merge_aged(view, young, 0)
         assert len(view) == 10
         for it in young:
             assert it.node_id in view
@@ -74,11 +73,11 @@ class TestRandomView:
         # equal-age ties must not systematically evict the same ids from
         # every view, or high ids would vanish overlay-wide
         rng = Random(24)
-        items = [replace(random_item(rng, node_id=i), timestamp_ms=1000) for i in range(40)]
+        items = [random_item(rng, node_id=i) for i in range(40)]
         survivors = Counter()
         for owner in range(200):
             view = RandomView(owner_id=10_000 + owner, capacity=20)
-            view.merge(PeerDescriptor(it, 1) for it in items)
+            merge_aged(view, items, 1)
             for nid in view.ids():
                 survivors[nid] += 1
         assert len(survivors) == 40  # every id survives in some view
@@ -86,15 +85,18 @@ class TestRandomView:
 
 class TestBootstrap:
     def test_empty_seed_list_rejected(self):
-        with pytest.raises(EmptySeedError):
-            bootstrap(owner_id=1, seeds=[], capacity=10)
+        # a view bootstrapped from no seeds has nobody to exchange with
+        view = RandomView(owner_id=1, capacity=10)
+        view.merge([], NOW, PERIOD)
+        with pytest.raises(EmptyViewError):
+            sample_partner(view, Random(0))
 
     def test_seeds_enter_at_age_zero(self):
-        rng = Random(25)
-        seeds = [random_item(rng, node_id=i) for i in range(3)]
-        view = bootstrap(owner_id=99, seeds=seeds, capacity=10)
-        assert sorted(view.ids()) == [0, 1, 2]
-        assert all(d.age == 0 for d in view.entries.values())
+        sim = Simulation(four_node_demo())  # node 1 is the only seed
+        for nid in (2, 3, 4):
+            view = sim.nodes[nid].random_view
+            assert list(view.ids()) == [1]
+            assert view.entries[1].age == 0
 
 
 class TestPartnerSelection:
@@ -108,7 +110,7 @@ class TestPartnerSelection:
         view = RandomView(owner_id=1, capacity=10)
         fill(view, rng, 5, age=1)
         old = random_item(rng, node_id=9999)
-        view.merge([PeerDescriptor(old, 7)])
+        merge_aged(view, [old], 7)
         for _ in range(20):
             assert sample_partner(view, rng, "oldest") == 9999
 
@@ -127,7 +129,7 @@ class TestPartnerSelection:
         view = RandomView(owner_id=1, capacity=60)
         fill(view, rng, 50, age=3)
         old = random_item(rng, node_id=7777)
-        view.merge([PeerDescriptor(old, 9)])
+        merge_aged(view, [old], 9)
         counts = Counter(sample_partner(view, rng, "uniform") for _ in range(10_200))
         assert len(counts) == 51
         _, p = chisquare(list(counts.values()))
@@ -158,7 +160,8 @@ class TestBuffers:
         view = RandomView(owner_id=1, capacity=40)
         fill(view, rng, 20, age=2)
         own = random_item(rng, node_id=1)
-        partner, buf = sample_exchange(view, own, half=15, rng=rng)
+        partner = sample_partner(view, rng)
+        buf = make_push_buffer(view, own, half=15, rng=rng)
         assert partner in view
         assert buf[0] is own
 
@@ -168,15 +171,17 @@ class TestAgeFromTimestamp:
         rng = Random(32)
         item = random_item(rng, node_id=3)
         item = replace(item, timestamp_ms=100_000)
-        desc = descriptor_from_item(item, now_ms=160_000, period_ms=15_000)
-        assert desc.age == 4
+        view = RandomView(owner_id=1, capacity=10)
+        merge_random(view, [item], now_ms=160_000, period_ms=15_000)
+        assert view.entries[3].age == 4
 
     def test_future_timestamp_clamps_to_zero(self):
         rng = Random(33)
         item = random_item(rng, node_id=3)
         item = replace(item, timestamp_ms=200_000)
-        desc = descriptor_from_item(item, now_ms=100_000, period_ms=15_000)
-        assert desc.age == 0
+        view = RandomView(owner_id=1, capacity=10)
+        merge_random(view, [item], now_ms=100_000, period_ms=15_000)
+        assert view.entries[3].age == 0
 
     def test_merge_random_uses_derived_ages(self):
         rng = Random(34)

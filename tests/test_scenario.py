@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from geogossip.geometry import GeoPoint, distance_f
+from geogossip.geometry import GeoPoint, distance
 from geogossip.scenario import (
     METERS_PER_DEG_LAT,
     ChurnEvent,
@@ -41,6 +41,25 @@ class TestParams:
         assert p.period_ms == 15_000
         assert p.stale_ms == 150_000
 
+    @pytest.mark.parametrize("bad", [
+        {"c_rand": 0},
+        {"c_rank": 0},
+        {"c_far": -1},
+        {"recent_rounds": -1},
+        {"stale_rounds": -1},
+        {"sample_half": 31},
+        {"sample_half": -1},
+        {"p_far": 7.0},
+        {"p_far": -0.1},
+        {"p_far": math.nan},
+        {"partner_strategy": "bogus"},
+        {"period_seconds": 0.0},
+        {"period_seconds": math.inf},
+    ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+    def test_out_of_range_rejected(self, bad):
+        with pytest.raises(ValueError):
+            Params(**bad)
+
 
 class TestValidation:
     def test_duplicate_ids_rejected(self):
@@ -51,6 +70,20 @@ class TestValidation:
     def test_unknown_seed_rejected(self):
         with pytest.raises(ValueError):
             Scenario(nodes=[NodeSpec(1, 0.0, 0.0, 10.0)], seeds=[2])
+
+    @pytest.mark.parametrize("bad", [
+        (-1, 0.0, 0.0, 10.0),
+        (1 << 64, 0.0, 0.0, 10.0),
+        (1, 95.0, 0.0, 10.0),
+        (1, 0.0, 180.0, 10.0),
+        (1, math.nan, 0.0, 10.0),
+        (1, 0.0, 0.0, -100.0),
+        (1, 0.0, 0.0, math.inf),
+    ], ids=["negative-id", "id-over-64-bits", "latitude-95", "longitude-180",
+            "nan-latitude", "negative-radius", "infinite-radius"])
+    def test_node_spec_ranges(self, bad):
+        with pytest.raises(ValueError):
+            NodeSpec(*bad)
 
     def test_churn_event_shape(self):
         with pytest.raises(ValueError):
@@ -136,7 +169,7 @@ class TestQuartetScenario:
 
         def overlaps(a, b):
             na, nb = by_id[a], by_id[b]
-            d = distance_f(na.latitude, na.longitude, nb.latitude, nb.longitude)
+            d = distance(GeoPoint(na.latitude, na.longitude), GeoPoint(nb.latitude, nb.longitude))
             return d < na.radius + nb.radius
 
         # the big-disk node 4 overlaps everyone; 3 overlaps only 4;
@@ -193,7 +226,8 @@ class TestFileRoundTrip:
         assert loads(dumps(sc)) == sc
 
     def test_params_round_trip(self):
-        sc = four_node_demo(params=Params(c_rand=12, p_far=0.25, partner_strategy="uniform"))
+        sc = four_node_demo(params=Params(c_rand=12, sample_half=6, p_far=0.25,
+                                          partner_strategy="uniform"))
         back = loads(dumps(sc))
         assert back.params == sc.params
 
@@ -212,6 +246,34 @@ class TestFileRoundTrip:
             loads("[what]\n1\n")
         with pytest.raises(ScenarioFormatError):
             loads("[churn]\n0 crash 1\n")
+
+    @pytest.mark.parametrize("text", [
+        "c_rand = abc\n",
+        "rng_seed = x\n",
+        "c_rand = 0\n",
+        "p_far = 7\n",
+        "partner_strategy = bogus\n",
+        "sample_half = 99\n",
+        "period_seconds = 0\n",
+        "no_such_key = 1\n",
+        "c_rand 5\n",
+        "[nodes]\n1 95.0 0.0 100.0\n",
+        "[nodes]\n1 0.0 0.0 -100.0\n",
+        "[churn]\n0 leave\n",
+        "[churn]\n0 join 7 95.0 0.0 100.0\n",
+    ], ids=["non-numeric-param", "non-numeric-seed", "zero-capacity", "p-far-above-1",
+            "unknown-strategy", "sample-half-above-c-rand", "zero-period", "unknown-key",
+            "header-without-equals", "node-latitude-95", "node-negative-radius",
+            "churn-missing-field", "joiner-latitude-95"])
+    def test_every_failure_is_a_format_error(self, text):
+        with pytest.raises(ScenarioFormatError):
+            loads(text)
+
+    def test_non_ascii_file_is_a_format_error(self, tmp_path):
+        path = tmp_path / "bad.scn"
+        path.write_bytes("# caf\u00e9\n".encode("utf-8"))
+        with pytest.raises(ScenarioFormatError):
+            load_scenario(path)
 
     def test_validation_errors_wrapped(self):
         text = "[nodes]\n1 0.0 0.0 5.0\n\n[seeds]\n9\n"
