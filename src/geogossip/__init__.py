@@ -37,7 +37,6 @@ from .gateway import (
     AgentRegistry,
     CapacityExceededError,
     CompositeId,
-    DelegationTable,
     DuplicateLocalIdError,
     NoEligibleDelegateError,
     local_discover,

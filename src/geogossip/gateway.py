@@ -6,8 +6,9 @@ unique id) and its discovery items carry the agent's address.  Agents
 find their local APs with a broadcast-response probe (modeled here as a
 deduplicated responder set).  Privacy nodes can additionally delegate
 their agent to a randomly chosen peer so their own endpoint never
-appears next to their location; the delegation table is known only to
-the two parties and is never gossiped.
+appears next to their location.  The delegation map (node id to
+delegate id, ``Simulation(delegates=...)``) is known only to the two
+parties and is never gossiped.
 """
 
 from dataclasses import dataclass, replace
@@ -88,26 +89,6 @@ def local_discover(responders: list[DiscoveryItem]) -> list[DiscoveryItem]:
         if cur is None or item.timestamp_ms > cur.timestamp_ms:
             best[item.node_id] = item
     return [best[nid] for nid in sorted(best)]
-
-
-class DelegationTable:
-    """Local two-party record of who fronts whom.  Never gossiped."""
-
-    def __init__(self):
-        self.delegate_of: dict[int, int] = {}
-        self.clients_of: dict[int, set[int]] = {}
-
-    def assign(self, node_id: int, delegate_id: int):
-        if delegate_id == node_id:
-            raise ValueError("a node cannot delegate to itself")
-        old = self.delegate_of.get(node_id)
-        if old is not None:
-            self.clients_of[old].discard(node_id)
-        self.delegate_of[node_id] = delegate_id
-        self.clients_of.setdefault(delegate_id, set()).add(node_id)
-
-    def as_mapping(self) -> dict[int, int]:
-        return dict(self.delegate_of)
 
 
 def select_delegate(node_id: int, pool: dict[int, int], rng: Random) -> int:

@@ -137,7 +137,7 @@ class RankedView:
 
 def select_target(view: RankedView, far: list[DiscoveryItem],
                   recent: set[int], rng: Random, p_far: float,
-                  now_ms: int | None = None, stale_ms: int | None = None) -> int:
+                  now_ms: int, stale_ms: int) -> int:
     """Pick the next exchange target: with probability p_far a random far
     link, otherwise a stale candidate in need of a liveness probe,
     otherwise the most relevant entry not contacted recently.
@@ -150,15 +150,14 @@ def select_target(view: RankedView, far: list[DiscoveryItem],
     far_ids = sorted({i.node_id for i in far} - {view.owner_id})
     if far_ids and rng.random() < p_far:
         return rng.choice(far_ids)
-    if now_ms is not None and stale_ms is not None:
-        cutoff = now_ms - stale_ms
-        stale = [
-            e for nid, e in view.entries.items()
-            if e.candidate and nid not in recent and e.item.timestamp_ms < cutoff
-        ]
-        if stale:
-            stale.sort(key=lambda e: (e.item.timestamp_ms, e.item.node_id))
-            return stale[0].item.node_id
+    cutoff = now_ms - stale_ms
+    stale = [
+        e for nid, e in view.entries.items()
+        if e.candidate and nid not in recent and e.item.timestamp_ms < cutoff
+    ]
+    if stale:
+        stale.sort(key=lambda e: (e.item.timestamp_ms, e.item.node_id))
+        return stale[0].item.node_id
     best = None
     for entry in view.entries.values():
         if entry.item.node_id in recent:
@@ -174,7 +173,7 @@ def select_target(view: RankedView, far: list[DiscoveryItem],
     raise EmptyViewError(f"node {view.owner_id} has no overlay target")
 
 
-def buffer_for(view: RankedView, random_view: RandomView | None,
+def buffer_for(view: RankedView, random_view: RandomView,
                own_item: DiscoveryItem,
                peer_lat: float, peer_lon: float, peer_radius: float,
                limit: int) -> list[DiscoveryItem]:
@@ -187,9 +186,8 @@ def buffer_for(view: RankedView, random_view: RandomView | None,
     receiver keys everything by node id.
     """
     pool: dict[int, DiscoveryItem] = {e.item.node_id: e.item for e in view.entries.values()}
-    if random_view is not None:
-        for item in random_view.items():
-            pool.setdefault(item.node_id, item)
+    for item in random_view.items():
+        pool.setdefault(item.node_id, item)
     pool.pop(own_item.node_id, None)
     items = list(pool.values())
     if len(items) <= limit:
@@ -205,15 +203,15 @@ def buffer_for(view: RankedView, random_view: RandomView | None,
     return [own_item] + [t[2] for t in scored[:limit]]
 
 
-def candidate_list(view: RankedView, random_view: RandomView | None = None
-                   ) -> list[tuple[DiscoveryItem, float]]:
-    """All known overlapping nodes, utility-descending (ties by id)."""
-    best: dict[int, tuple[DiscoveryItem, float]] = {
-        nid: (e.item, e.utility) for nid, e in view.entries.items() if e.candidate
-    }
-    if random_view is not None:
-        unranked = [item for item in random_view.items() if item.node_id not in best]
-        for e in view.score(unranked):
-            if e.candidate:
-                best[e.item.node_id] = (e.item, e.utility)
-    return sorted(best.values(), key=lambda pair: (-pair[1], pair[0].node_id))
+def candidate_list(view: RankedView) -> list[tuple[DiscoveryItem, float]]:
+    """The node's candidate list: the ranked view's pinned candidates,
+    utility-descending (ties by id).
+
+    Every item a node merges reaches its ranked view, and a candidate
+    leaves it only when its node is found dead, so no other view knows a
+    candidate this one lacks.
+    """
+    return sorted(
+        ((e.item, e.utility) for e in view.entries.values() if e.candidate),
+        key=lambda pair: (-pair[1], pair[0].node_id),
+    )

@@ -201,22 +201,28 @@ class _Node:
 class Simulation:
     """Engine for one scenario.  Construct, then run(rounds).
 
-    delegates maps a privacy node id to the node that fronts its agent:
-    every item the privacy node emits then carries the delegate's
-    endpoint instead of its own.  Protocol decisions never read
-    addresses, so a delegated run is otherwise identical.
+    delegates is the one delegation record: it maps a privacy node id to
+    the node that fronts its agent, and every item the privacy node emits
+    then carries the delegate's endpoint instead of its own.  Protocol
+    decisions never read addresses, so a delegated run is otherwise
+    identical.  A node's candidate list is its ranked view's pinned
+    candidates (``overlay.candidate_list``).
     """
 
-    def __init__(self, scenario: Scenario, delegates: dict[int, int] | None = None,
-                 collect_emitted: bool = False):
+    def __init__(self, scenario: Scenario, delegates: dict[int, int] | None = None):
         self.scenario = scenario
         self.params = scenario.params
-        self.delegates = delegates or {}
+        self.delegates = dict(delegates or {})
+        for nid, delegate in self.delegates.items():
+            if nid == delegate:
+                raise ValueError(f"node {nid} cannot delegate to itself")
+            for x in (nid, delegate):
+                if not 0 <= x < 1 << 64:
+                    raise ValueError(f"delegation id out of range [0, 2**64): {x}")
         self.rng = Random(scenario.rng_seed)
         self.round = 0
         self.nodes: dict[int, _Node] = {}
         self.series = MetricsSeries()
-        self.emitted: set[tuple[int, object]] | None = set() if collect_emitted else None
         self.oracle = LatitudeIndex(scenario.nodes)
         self._churn_by_round: dict[int, list[ChurnEvent]] = {}
         for ev in scenario.churn:
@@ -277,15 +283,11 @@ class Simulation:
 
     # -- exchanges ----------------------------------------------------------
 
-    def _record(self, sender: _Node, buf: list[DiscoveryItem], sent: dict[int, int]):
-        sent[sender.spec.node_id] = sent.get(sender.spec.node_id, 0) + FRAME_LEN * len(buf)
+    def _record(self, buf: list[DiscoveryItem]):
         self.series.total_bytes += FRAME_LEN * len(buf)
         self.series.total_descriptors += len(buf)
-        if self.emitted is not None:
-            for item in buf:
-                self.emitted.add((item.node_id, item.address))
 
-    def _sampling_exchange(self, node: _Node, now_ms: int, sent: dict[int, int]):
+    def _sampling_exchange(self, node: _Node, now_ms: int):
         if not node.random_view.entries:
             return
         partner_id = sample_partner(node.random_view, self.rng, self.params.partner_strategy)
@@ -299,8 +301,8 @@ class Simulation:
         buf_b = make_push_buffer(
             partner.random_view, partner.own_item(now_ms), self.params.sample_half, self.rng
         )
-        self._record(node, buf_a, sent)
-        self._record(partner, buf_b, sent)
+        self._record(buf_a)
+        self._record(buf_b)
         period_ms = self.params.period_ms
         merge_random(partner.random_view, buf_a, now_ms, period_ms)
         partner.ranked.merge(buf_a, now_ms, self.params.stale_ms)
@@ -314,7 +316,7 @@ class Simulation:
             limit=self.params.c_rank + self.params.c_rand,
         )
 
-    def _overlay_exchange(self, node: _Node, now_ms: int, sent: dict[int, int]):
+    def _overlay_exchange(self, node: _Node, now_ms: int):
         try:
             target_id = select_target(
                 node.ranked, node.far, set(node.recent), self.rng, self.params.p_far,
@@ -329,8 +331,8 @@ class Simulation:
         node.recent.append(target_id)
         buf_a = self._overlay_buffer(node, target, now_ms)
         buf_b = self._overlay_buffer(target, node, now_ms)
-        self._record(node, buf_a, sent)
-        self._record(target, buf_b, sent)
+        self._record(buf_a)
+        self._record(buf_b)
         target.ranked.merge(buf_a, now_ms, self.params.stale_ms)
         node.ranked.merge(buf_b, now_ms, self.params.stale_ms)
 
@@ -346,7 +348,7 @@ class Simulation:
     def step(self) -> MetricsRow:
         now_ms = self.round * self.params.period_ms
         self.apply_churn(self._churn_by_round.get(self.round, []), now_ms)
-        sent: dict[int, int] = {}
+        bytes_before = self.series.total_bytes
         order = sorted(self.nodes)
         self.rng.shuffle(order)
         for nid in order:
@@ -354,17 +356,17 @@ class Simulation:
             if node is None:
                 continue
             self._refresh_far(node)
-            self._sampling_exchange(node, now_ms, sent)
-            self._overlay_exchange(node, now_ms, sent)
+            self._sampling_exchange(node, now_ms)
+            self._overlay_exchange(node, now_ms)
         for node in self.nodes.values():
             node.random_view.tick()
-        row = self._measure(sent)
+        row = self._measure(self.series.total_bytes - bytes_before)
         self.series.append(row)
         self.series.node_rounds += row.live_nodes
         self.round += 1
         return row
 
-    def _measure(self, sent: dict[int, int]) -> MetricsRow:
+    def _measure(self, round_bytes: int) -> MetricsRow:
         live = list(self.nodes.values())
         recalls = []
         settled = []
@@ -379,12 +381,11 @@ class Simulation:
             if self.round - node.join_round >= 10:
                 settled.append(recall)
         n = len(live)
-        total_sent = sum(sent.values())
         return MetricsRow(
             round=self.round,
             mean_recall=sum(recalls) / n if n else 1.0,
             min_recall=min(recalls) if recalls else 1.0,
-            bytes_sent_mean=total_sent / n if n else 0.0,
+            bytes_sent_mean=round_bytes / n if n else 0.0,
             live_nodes=n,
             mean_recall_settled=sum(settled) / len(settled) if settled else None,
         )
@@ -396,7 +397,7 @@ class Simulation:
 
     def candidate_lists(self) -> dict[int, list[tuple[DiscoveryItem, float]]]:
         return {
-            nid: candidate_list(node.ranked, node.random_view)
+            nid: candidate_list(node.ranked)
             for nid, node in sorted(self.nodes.items())
         }
 

@@ -13,6 +13,8 @@ from random import Random
 
 import pytest
 
+from geogossip import simulate
+from geogossip.gateway import select_delegate
 from geogossip.geometry import EARTH_RADIUS_M, GeoPoint, distance, overlap_area_f
 from geogossip.scenario import (
     Params,
@@ -239,18 +241,30 @@ def test_09_channel_hints(report):
            f"100 instances worst ratio {worst:.3f} <= 1.5, bad hints held <= 1 round")
 
 
-def test_10_privacy_delegation(report):
+def test_10_privacy_delegation(report, monkeypatch):
     sc = generate_scenario(300, region=(6000.0, 6000.0), radius_law=RADII, rng_seed=5)
     node_ids = sorted(n.node_id for n in sc.nodes)
     privacy = node_ids[::10]
-    delegates = {}
+    pool = {nid: 1 for nid in node_ids}
     rng = Random(99)
-    for nid in privacy:
-        delegates[nid] = rng.choice([x for x in node_ids if x != nid])
+    delegates = {nid: select_delegate(nid, pool, rng) for nid in privacy}
 
     plain = Simulation(sc)
     plain.run(25)
-    fronted = Simulation(sc, delegates=delegates, collect_emitted=True)
+
+    # every buffer the engine sends comes from one of these two builders
+    emitted = set()
+
+    def collecting(build):
+        def wrapped(*args, **kwargs):
+            buf = build(*args, **kwargs)
+            emitted.update((item.node_id, item.address) for item in buf)
+            return buf
+        return wrapped
+
+    monkeypatch.setattr(simulate, "make_push_buffer", collecting(simulate.make_push_buffer))
+    monkeypatch.setattr(simulate, "buffer_for", collecting(simulate.buffer_for))
+    fronted = Simulation(sc, delegates=delegates)
     fronted.run(25)
 
     same_lists = all(
@@ -259,8 +273,11 @@ def test_10_privacy_delegation(report):
         for nid in node_ids
     )
     leaked = {
-        nid for nid, addr in fronted.emitted
+        nid for nid, addr in emitted
         if nid in delegates and addr == address_for(nid)
     }
-    report(10, "privacy delegation", same_lists and not leaked,
+    # each delegated node was heard, under its delegate's endpoint
+    fronted_ok = {nid for nid, addr in emitted
+                  if nid in delegates and addr == address_for(delegates[nid])} == set(delegates)
+    report(10, "privacy delegation", same_lists and not leaked and fronted_ok,
            f"{len(privacy)} delegated nodes, identical lists, no own endpoint emitted")

@@ -10,7 +10,6 @@ from geogossip.gateway import (
     AgentRegistry,
     CapacityExceededError,
     CompositeId,
-    DelegationTable,
     DuplicateLocalIdError,
     NoEligibleDelegateError,
     local_discover,
@@ -95,27 +94,6 @@ class TestLocalDiscover:
 
     def test_empty(self):
         assert local_discover([]) == []
-
-
-class TestDelegationTable:
-    def test_assign_and_mapping(self):
-        table = DelegationTable()
-        table.assign(1, 9)
-        table.assign(2, 9)
-        assert table.as_mapping() == {1: 9, 2: 9}
-        assert table.clients_of[9] == {1, 2}
-
-    def test_reassign_moves_client(self):
-        table = DelegationTable()
-        table.assign(1, 9)
-        table.assign(1, 8)
-        assert table.as_mapping() == {1: 8}
-        assert table.clients_of[9] == set()
-        assert table.clients_of[8] == {1}
-
-    def test_self_delegation_rejected(self):
-        with pytest.raises(ValueError):
-            DelegationTable().assign(1, 1)
 
 
 class TestSelectDelegate:

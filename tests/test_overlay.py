@@ -150,19 +150,22 @@ class TestMerge:
 
 
 class TestSelectTarget:
+    # every descriptor merged at 2000 ms is fresh: no liveness probe is due
+    FRESH = {"now_ms": 2000, "stale_ms": 10**9}
+
     def test_prefers_best_unvisited(self):
         view = view_at(radius=500.0)
         view.merge([item_at(2, 100.0, 0.0, 400.0), item_at(3, 800.0, 0.0, 400.0)],
                    now_ms=2000, stale_ms=10**9)
-        assert select_target(view, [], set(), Random(0), p_far=0.0) == 2
-        assert select_target(view, [], {2}, Random(0), p_far=0.0) == 3
+        assert select_target(view, [], set(), Random(0), p_far=0.0, **self.FRESH) == 2
+        assert select_target(view, [], {2}, Random(0), p_far=0.0, **self.FRESH) == 3
 
     def test_far_link_probability(self):
         view = view_at(radius=500.0)
         view.merge([item_at(2, 100.0, 0.0, 400.0)], now_ms=2000, stale_ms=10**9)
         far = [item_at(77, 9000.0, 0.0, 10.0)]
         rng = Random(1)
-        picks = {select_target(view, far, set(), rng, p_far=0.5) for _ in range(200)}
+        picks = {select_target(view, far, set(), rng, p_far=0.5, **self.FRESH) for _ in range(200)}
         assert picks == {2, 77}
 
     def test_stale_candidate_probed(self):
@@ -178,13 +181,13 @@ class TestSelectTarget:
 
     def test_empty_everything_raises(self):
         with pytest.raises(EmptyViewError):
-            select_target(view_at(), [], set(), Random(0), p_far=0.0)
+            select_target(view_at(), [], set(), Random(0), p_far=0.0, **self.FRESH)
 
     def test_falls_back_to_far_when_all_recent(self):
         view = view_at(radius=500.0)
         view.merge([item_at(2, 100.0, 0.0, 400.0)], now_ms=2000, stale_ms=10**9)
         far = [item_at(77, 9000.0, 0.0, 10.0)]
-        assert select_target(view, far, {2}, Random(0), p_far=0.0) == 77
+        assert select_target(view, far, {2}, Random(0), p_far=0.0, **self.FRESH) == 77
 
 
 class TestBufferFor:
@@ -194,7 +197,7 @@ class TestBufferFor:
         near_peer = item_at(3, 9900.0, 0.0, 50.0)
         view.merge([near_me, near_peer], now_ms=2000, stale_ms=10**9)
         own = item_at(1, 0.0, 0.0, 500.0)
-        buf = buffer_for(view, None, own, 10_000.0 / DEG_M, 0.0, 500.0, limit=1)
+        buf = buffer_for(view, RandomView(1, 10), own, 10_000.0 / DEG_M, 0.0, 500.0, limit=1)
         assert buf[0] is own
         assert [i.node_id for i in buf[1:]] == [3]
 
@@ -225,12 +228,6 @@ class TestCandidateList:
         got = candidate_list(view)
         assert [item.node_id for item, _ in got] == [7, 2]
         assert got[0][1] > got[1][1] > 0.0
-
-    def test_includes_candidates_known_only_to_random_view(self):
-        view = view_at(owner_id=1, radius=500.0)
-        rv = random_view_with(1, [item_at(5, 200.0, 0.0, 400.0)])
-        got = candidate_list(view, rv)
-        assert [item.node_id for item, _ in got] == [5]
 
     def test_export_lines(self):
         view = view_at(radius=500.0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from geogossip.geometry import CoordinationArea, GeoPoint, distances_np, is_candidate
+from geogossip.overlay import candidate_list
 from geogossip.scenario import (
     METERS_PER_DEG_LAT,
     ChurnEvent,
@@ -13,6 +14,7 @@ from geogossip.scenario import (
     Params,
     Scenario,
     add_random_churn,
+    address_for,
     four_node_demo,
     generate_scenario,
 )
@@ -232,12 +234,49 @@ class TestSimulationBasics:
     def test_bytes_are_descriptor_count_times_frame(self):
         series = run(small_scenario(), 5)
         assert series.total_bytes == 56 * series.total_descriptors
+        assert sum(r.bytes_sent_mean * r.live_nodes for r in series.rows) == pytest.approx(
+            series.total_bytes)
 
     def test_bandwidth_accounting(self):
         sc = small_scenario()
         series = run(sc, 5)
         per_node_round = series.total_bytes / series.node_rounds
         assert series.mean_bytes_per_second(15.0) == pytest.approx(per_node_round / 15.0)
+
+
+class TestCandidateLists:
+    def test_random_view_knows_no_candidate_the_ranked_view_lacks(self):
+        # why candidate_list reads the ranked view alone: every item merged
+        # into a random view is merged into the same node's ranked view, and
+        # a pinned candidate leaves only when its node is forgotten in both
+        region, radii = (5000.0, 5000.0), (100.0, 600.0)
+        sc = generate_scenario(300, region, radii, 1)
+        sc = add_random_churn(sc, rounds=20, rate=0.01, region=region, radius_law=radii)
+        sim = Simulation(sc)
+        for _ in range(20):
+            sim.step()
+            for node in sim.nodes.values():
+                pinned = node.ranked.candidate_ids()
+                items = node.random_view.items()
+                if items:
+                    scored = node.ranked.score(items)
+                    assert {e.item.node_id for e in scored if e.candidate} <= pinned
+                assert {item.node_id for item, _ in candidate_list(node.ranked)} == pinned
+
+
+class TestDelegation:
+    def test_delegated_node_emits_the_delegate_endpoint(self):
+        sim = Simulation(four_node_demo(), delegates={1: 2, 3: (1 << 64) - 1})
+        assert sim.nodes[1].own_item(0).address == address_for(2)
+        assert sim.nodes[3].own_item(0).address == address_for((1 << 64) - 1)
+        assert sim.nodes[2].own_item(0).address == address_for(2)
+
+    @pytest.mark.parametrize("delegates", [
+        {5: 5}, {1: 1}, {1: -1}, {-1: 2}, {1: 1 << 64}, {1 << 64: 2},
+    ])
+    def test_invalid_delegation_rejected(self, delegates):
+        with pytest.raises(ValueError):
+            Simulation(four_node_demo(), delegates=delegates)
 
 
 class TestChurnHandling:
