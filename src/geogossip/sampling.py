@@ -51,9 +51,6 @@ class RandomView:
     def __contains__(self, node_id: int):
         return node_id in self.entries
 
-    def ids(self):
-        return self.entries.keys()
-
     def items(self):
         return [d.item for d in self.entries.values()]
 

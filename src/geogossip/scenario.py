@@ -60,7 +60,8 @@ class Params:
             raise ValueError(f"p_far must be in [0, 1]: {self.p_far}")
         if self.partner_strategy not in PARTNER_STRATEGIES:
             raise ValueError(f"unknown partner_strategy: {self.partner_strategy!r}")
-        if not (math.isfinite(self.period_seconds) and self.period_ms >= 1):
+        # the milliseconds too must be finite, or period_ms cannot round them
+        if not (math.isfinite(self.period_seconds * 1000) and self.period_ms >= 1):
             raise ValueError(f"period must be positive: {self.period_seconds}")
 
     @property
@@ -121,20 +122,12 @@ class Scenario:
 
 
 def _radius_law(spec) -> tuple[float, float]:
-    """Normalize a radius law to a (lo, hi) uniform range."""
+    """Normalize a radius law, a fixed radius or a (lo, hi) uniform range,
+    to a (lo, hi) range."""
     if isinstance(spec, (int, float)):
-        return float(spec), float(spec)
-    if isinstance(spec, tuple):
+        lo = hi = float(spec)
+    elif isinstance(spec, tuple):
         lo, hi = float(spec[0]), float(spec[1])
-    elif isinstance(spec, str):
-        kind, _, rest = spec.partition(":")
-        if kind == "fixed":
-            lo = hi = float(rest)
-        elif kind == "uniform":
-            a, b = rest.split(",")
-            lo, hi = float(a), float(b)
-        else:
-            raise ValueError(f"unknown radius law: {spec!r}")
     else:
         raise ValueError(f"unknown radius law: {spec!r}")
     if lo < 0 or hi < lo:

@@ -78,7 +78,7 @@ class TestRandomView:
         for owner in range(200):
             view = RandomView(owner_id=10_000 + owner, capacity=20)
             merge_aged(view, items, 1)
-            for nid in view.ids():
+            for nid in view.entries:
                 survivors[nid] += 1
         assert len(survivors) == 40  # every id survives in some view
 
@@ -95,7 +95,7 @@ class TestBootstrap:
         sim = Simulation(four_node_demo())  # node 1 is the only seed
         for nid in (2, 3, 4):
             view = sim.nodes[nid].random_view
-            assert list(view.ids()) == [1]
+            assert list(view.entries) == [1]
             assert view.entries[1].age == 0
 
 

@@ -4,10 +4,13 @@ from ipaddress import IPv6Address
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from geogossip.geometry import GeoPoint, distance
 from geogossip.scenario import (
     METERS_PER_DEG_LAT,
+    PARTNER_STRATEGIES,
     ChurnEvent,
     InvalidRegionError,
     NodeSpec,
@@ -55,6 +58,7 @@ class TestParams:
         {"partner_strategy": "bogus"},
         {"period_seconds": 0.0},
         {"period_seconds": math.inf},
+        {"period_seconds": 1e306},
     ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -129,9 +133,9 @@ class TestGeneration:
             assert -1e-6 <= y <= 3000.0 + 1e-6
 
     def test_radius_laws(self):
-        fixed = generate_scenario(20, region=(100.0, 100.0), radius_law="fixed:42", rng_seed=1)
+        fixed = generate_scenario(20, region=(100.0, 100.0), radius_law=42, rng_seed=1)
         assert all(n.radius == 42.0 for n in fixed.nodes)
-        rng = generate_scenario(200, region=(100.0, 100.0), radius_law="uniform:10,20", rng_seed=1)
+        rng = generate_scenario(200, region=(100.0, 100.0), radius_law=(10.0, 20.0), rng_seed=1)
         assert all(10.0 <= n.radius <= 20.0 for n in rng.nodes)
         assert len({n.radius for n in rng.nodes}) > 100
 
@@ -142,6 +146,10 @@ class TestGeneration:
             generate_scenario(5, region=(0.0, 100.0), radius_law=10.0, rng_seed=1)
         with pytest.raises(ValueError):
             generate_scenario(5, region=(100.0, 100.0), radius_law="weird:1", rng_seed=1)
+        with pytest.raises(ValueError):
+            generate_scenario(5, region=(100.0, 100.0), radius_law="fixed:42", rng_seed=1)
+        with pytest.raises(ValueError):
+            generate_scenario(5, region=(100.0, 100.0), radius_law=-1.0, rng_seed=1)
         with pytest.raises(ValueError):
             generate_scenario(5, region=(100.0, 100.0), radius_law=(20.0, 10.0), rng_seed=1)
 
@@ -284,3 +292,74 @@ class TestFileRoundTrip:
         sc = loads("# hi\nrng_seed = 3\n\n[nodes]\n# c\n1 0.0 0.0 5.0\n\n[seeds]\n1\n")
         assert sc.rng_seed == 3
         assert len(sc.nodes) == 1
+
+
+# --- property tests of the file format ---------------------------------------
+
+_ID = st.integers(0, (1 << 64) - 1)
+_SPEC = st.builds(NodeSpec, _ID, st.floats(-90.0, 90.0),
+                  st.floats(-180.0, 180.0, exclude_max=True), st.floats(0.0, 1e9))
+
+
+@st.composite
+def _params(draw):
+    c_rand = draw(st.integers(1, 100))
+    return Params(
+        c_rand=c_rand,
+        sample_half=draw(st.integers(0, c_rand)),
+        c_rank=draw(st.integers(1, 100)),
+        c_far=draw(st.integers(0, 10)),
+        p_far=draw(st.floats(0.0, 1.0)),
+        recent_rounds=draw(st.integers(0, 20)),
+        period_seconds=draw(st.floats(0.001, 1e6)),
+        stale_rounds=draw(st.integers(0, 100)),
+        partner_strategy=draw(st.sampled_from(PARTNER_STRATEGIES)),
+    )
+
+
+@st.composite
+def _scenarios(draw):
+    nodes = draw(st.lists(_SPEC, min_size=1, max_size=8, unique_by=lambda n: n.node_id))
+    ids = [n.node_id for n in nodes]
+    churn = draw(st.lists(st.one_of(
+        st.builds(ChurnEvent, st.integers(0, 1000), st.just("join"), node=_SPEC),
+        st.builds(ChurnEvent, st.integers(0, 1000), st.just("leave"),
+                  node_id=st.one_of(st.sampled_from(ids), _ID)),
+    ), max_size=6))
+    return Scenario(nodes=nodes, seeds=draw(st.lists(st.sampled_from(ids), max_size=3)),
+                    params=draw(_params()), churn=churn, rng_seed=draw(st.integers(0, 1 << 64)))
+
+
+# scenario-shaped text reaches the row and header parsers far more often
+# than arbitrary text does
+_TOKEN = st.one_of(
+    st.integers(-(1 << 70), 1 << 70).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["join", "leave", "=", "#"] + list(PARTNER_STRATEGIES)),
+    st.text(max_size=4),
+)
+_LINE = st.one_of(
+    st.sampled_from(["[nodes]", "[seeds]", "[churn]", "[other]", ""]),
+    st.tuples(st.sampled_from(["rng_seed", "bogus"] + list(Params.__dataclass_fields__)),
+              _TOKEN).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    st.lists(_TOKEN, max_size=7).map(" ".join),
+    st.text(max_size=20),
+)
+
+
+class TestFormatProperties:
+    @settings(deadline=None)
+    @given(st.one_of(st.text(), st.lists(_LINE, max_size=25).map("\n".join)))
+    @example("period_seconds = 1e306\n")  # finite seconds, infinite milliseconds
+    def test_loads_returns_a_scenario_or_a_format_error(self, text):
+        try:
+            sc = loads(text)
+        except ScenarioFormatError:
+            return
+        assert isinstance(sc, Scenario)
+
+    @settings(deadline=None)
+    @given(_scenarios())
+    def test_dump_load_dump_is_identical(self, sc):
+        text = dumps(sc)
+        assert dumps(loads(text)) == text
