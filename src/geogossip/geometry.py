@@ -65,26 +65,40 @@ def distance(a: GeoPoint, b: GeoPoint) -> float:
     return float(distances_np(a.latitude, a.longitude, b.latitude, b.longitude))
 
 
+def _segment(r: float, theta: float) -> float:
+    """Area of the circular segment cut from a disk of radius r by a chord
+    at half-angle theta: r^2 (theta - sin theta cos theta), by its series
+    at small theta, where that difference cancels."""
+    if theta < 0.1:
+        t2 = theta * theta
+        f = theta * t2 * (2.0 / 3.0 - t2 * (2.0 / 15.0 - t2 * (4.0 / 315.0 - t2 * (2.0 / 2835.0))))
+    else:
+        f = theta - math.sin(theta) * math.cos(theta)
+    return r * r * f
+
+
 def overlap_area_f(d: float, r1: float, r2: float) -> float:
     """Intersection area, in square meters, of two disks of radii r1 and
     r2 whose centers are d meters apart.
 
     The radii are put in order first, so the result is exactly symmetric
-    under swapping the two disks.
+    under swapping the two disks.  The area is positive whenever
+    d < r1 + r2, the candidacy test, however close to tangency.
     """
     if r2 < r1:
         r1, r2 = r2, r1
-    if d >= r1 + r2:
+    s, g = r1 + r2, r2 - r1
+    if d >= s:
         return 0.0
-    if d <= r2 - r1:
+    if d <= g:
         return math.pi * r1 * r1
-    # lens formula
-    alpha = math.acos(max(-1.0, min(1.0, (d * d + r1 * r1 - r2 * r2) / (2.0 * d * r1))))
-    beta = math.acos(max(-1.0, min(1.0, (d * d + r2 * r2 - r1 * r1) / (2.0 * d * r2))))
-    tri = 0.5 * math.sqrt(
-        max(0.0, (-d + r1 + r2) * (d + r1 - r2) * (d - r1 + r2) * (d + r1 + r2))
-    )
-    return r1 * r1 * alpha + r2 * r2 * beta - tri
+    # lens: the segments on either side of the common chord.  Every factor
+    # of the Heron product is a positive difference, so the half-chord h
+    # stays accurate up to tangency, and two positive segments never cancel
+    h = math.sqrt((s - d) * (d - g) * (d + g) * (s + d)) / (2.0 * d)
+    x1 = (d * d - g * s) / (2.0 * d)  # signed distance from each center to the chord
+    x2 = (d * d + g * s) / (2.0 * d)
+    return _segment(r1, math.atan2(h, x1)) + _segment(r2, math.atan2(h, x2))
 
 
 def overlap_area(a: CoordinationArea, b: CoordinationArea) -> float:
