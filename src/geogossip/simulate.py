@@ -216,9 +216,8 @@ class Simulation:
         for nid, delegate in self.delegates.items():
             if nid == delegate:
                 raise ValueError(f"node {nid} cannot delegate to itself")
-            for x in (nid, delegate):
-                if not 0 <= x < 1 << 64:
-                    raise ValueError(f"delegation id out of range [0, 2**64): {x}")
+            if not (0 <= nid < 1 << 64 and 0 <= delegate < 1 << 64):
+                raise ValueError(f"delegation {nid} -> {delegate} outside [0, 2**64)")
         self.rng = Random(scenario.rng_seed)
         self.round = 0
         self.nodes: dict[int, _Node] = {}

@@ -273,7 +273,8 @@ class TestDelegation:
 
     @pytest.mark.parametrize("delegates", [
         {5: 5}, {1: 1}, {1: -1}, {-1: 2}, {1: 1 << 64}, {1 << 64: 2},
-    ])
+    ], ids=["self-unknown-node", "self-live-node", "negative-delegate", "negative-node",
+            "delegate-over-64-bits", "node-over-64-bits"])
     def test_invalid_delegation_rejected(self, delegates):
         with pytest.raises(ValueError):
             Simulation(four_node_demo(), delegates=delegates)
