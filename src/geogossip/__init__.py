@@ -29,8 +29,6 @@ from .simulate import (
     Simulation,
     UnknownNodeError,
     convergence_round,
-    ground_truth,
-    run,
 )
 from .spectrum import HintState, InterferenceGraph, build_graph, greedy_assign, qoe_step
 from .gateway import (

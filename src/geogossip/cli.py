@@ -103,8 +103,12 @@ def cmd_churn_run(args) -> int:
     s, rc = _load(args.scenario)
     if s is None:
         return rc
-    s = scn.add_random_churn(s, rounds=args.rounds, rate=args.rate,
-                             region=args.region, radius_law=args.radius)
+    try:
+        s = scn.add_random_churn(s, rounds=args.rounds, rate=args.rate,
+                                 region=args.region, radius_law=args.radius)
+    except ValueError as exc:
+        print(f"error: cannot add churn to {args.scenario}: {exc}", file=sys.stderr)
+        return 2
     return _run_and_report(s, args, args.out)
 
 

@@ -101,6 +101,8 @@ class ChurnEvent:
             raise ValueError("leave event needs a node id")
         if self.op not in ("join", "leave"):
             raise ValueError(f"unknown churn op: {self.op}")
+        if self.round < 0:
+            raise ValueError(f"churn round must be >= 0: {self.round}")
 
 
 @dataclass
@@ -119,6 +121,14 @@ class Scenario:
         missing = [s for s in self.seeds if s not in initial]
         if missing:
             raise ValueError(f"seeds not present at round 0: {missing}")
+        # replay the schedule in the engine's order: by round, then as listed
+        live = initial
+        for ev in sorted(self.churn, key=lambda ev: ev.round):
+            nid = ev.node.node_id if ev.op == "join" else ev.node_id
+            if (nid in live) == (ev.op == "join"):
+                state = "alive" if nid in live else "not alive"
+                raise ValueError(f"round {ev.round}: node {nid} cannot {ev.op} while {state}")
+            live ^= {nid}
 
 
 def _radius_law(spec) -> tuple[float, float]:
@@ -140,7 +150,16 @@ DEFAULT_ORIGIN = GeoPoint(59.91, 10.75)
 
 def _to_geo(x: float, y: float, origin: GeoPoint) -> tuple[float, float]:
     lat = origin.latitude + y / METERS_PER_DEG_LAT
+    if not -90.0 <= lat <= 90.0:
+        raise InvalidRegionError(f"region passes a pole: latitude {lat}")
     lon = origin.longitude + x / (METERS_PER_DEG_LAT * math.cos(math.radians(origin.latitude)))
+    if not -180.0 <= lon < 180.0:
+        # wrap across the antimeridian; fmod and the one step after it are exact
+        lon = math.fmod(lon, 360.0)
+        if lon >= 180.0:
+            lon -= 360.0
+        elif lon < -180.0:
+            lon += 360.0
     return lat, lon
 
 

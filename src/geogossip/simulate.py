@@ -91,6 +91,8 @@ class LatitudeIndex:
     the antimeridian and at the poles alike.  A join or a leave updates
     the sorted arrays and the candidate sets it belongs to; nothing is
     rebuilt, and memory stays linear in the membership.
+    ``LatitudeIndex(specs).candidates`` is the oracle for a fixed set of
+    nodes; ``Simulation.oracle`` follows the live membership.
     """
 
     # margins (relative, and degrees) that widen the band far beyond the
@@ -145,32 +147,6 @@ class LatitudeIndex:
             self.candidates[other].discard(spec.node_id)
 
 
-def compute_ground_truth(specs: list[NodeSpec]) -> dict[int, set[int]]:
-    """Exhaustive pairwise candidate sets, from the same kernel the overlay
-    scores with, so oracle and protocol never disagree on a borderline
-    pair."""
-    return LatitudeIndex(specs).candidates
-
-
-def live_specs_at(scenario: Scenario, round_index: int) -> list[NodeSpec]:
-    """Membership after applying all churn events up to and including the round."""
-    specs = {s.node_id: s for s in scenario.nodes}
-    for ev in scenario.churn:
-        if ev.round > round_index:
-            continue
-        if ev.op == "join":
-            specs[ev.node.node_id] = ev.node
-        else:
-            if ev.node_id not in specs:
-                raise UnknownNodeError(ev.node_id)
-            del specs[ev.node_id]
-    return list(specs.values())
-
-
-def ground_truth(scenario: Scenario, round_index: int = 0) -> dict[int, set[int]]:
-    return compute_ground_truth(live_specs_at(scenario, round_index))
-
-
 class _Node:
     __slots__ = ("spec", "address", "random_view", "ranked", "far", "recent",
                  "join_round", "_own")
@@ -203,21 +179,26 @@ class Simulation:
 
     delegates is the one delegation record: it maps a privacy node id to
     the node that fronts its agent, and every item the privacy node emits
-    then carries the delegate's endpoint instead of its own.  Protocol
-    decisions never read addresses, so a delegated run is otherwise
-    identical.  A node's candidate list is its ranked view's pinned
-    candidates (``overlay.candidate_list``).
+    then carries the delegate's endpoint instead of its own.  Both ends
+    must be members (round-0 nodes or scheduled joiners); a delegate that
+    leaves through churn still fronts its clients.  Protocol decisions
+    never read addresses, so a delegated run is otherwise identical.  A
+    node's candidate list is its ranked view's pinned candidates
+    (``overlay.candidate_list``).
     """
 
     def __init__(self, scenario: Scenario, delegates: dict[int, int] | None = None):
         self.scenario = scenario
         self.params = scenario.params
         self.delegates = dict(delegates or {})
-        for nid, delegate in self.delegates.items():
-            if nid == delegate:
-                raise ValueError(f"node {nid} cannot delegate to itself")
-            if not (0 <= nid < 1 << 64 and 0 <= delegate < 1 << 64):
-                raise ValueError(f"delegation {nid} -> {delegate} outside [0, 2**64)")
+        if self.delegates:
+            members = {s.node_id for s in scenario.nodes}
+            members.update(ev.node.node_id for ev in scenario.churn if ev.op == "join")
+            for nid, delegate in self.delegates.items():
+                if nid == delegate:
+                    raise ValueError(f"node {nid} cannot delegate to itself")
+                if nid not in members or delegate not in members:
+                    raise ValueError(f"delegation {nid} -> {delegate} names a non-member")
         self.rng = Random(scenario.rng_seed)
         self.round = 0
         self.nodes: dict[int, _Node] = {}
@@ -260,9 +241,7 @@ class Simulation:
             node.random_view.merge(seeds, now_ms, self.params.period_ms)
             node.ranked.merge(seeds, now_ms, self.params.stale_ms)
 
-    def apply_churn(self, events: list[ChurnEvent], now_ms: int | None = None):
-        if now_ms is None:
-            now_ms = self.round * self.params.period_ms
+    def apply_churn(self, events: list[ChurnEvent], now_ms: int):
         joined: list[_Node] = []
         for ev in events:
             if ev.op == "join":
@@ -400,6 +379,3 @@ class Simulation:
             for nid, node in sorted(self.nodes.items())
         }
 
-
-def run(scenario: Scenario, rounds: int, delegates: dict[int, int] | None = None) -> MetricsSeries:
-    return Simulation(scenario, delegates=delegates).run(rounds)

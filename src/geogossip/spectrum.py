@@ -15,6 +15,8 @@ from random import Random
 
 from .wire import DiscoveryItem
 
+_RESTARTS = 16
+
 
 class InterferenceGraph:
     def __init__(self):
@@ -74,13 +76,13 @@ def _sweep(g: InterferenceGraph, assignment: dict[int, int], k: int) -> dict[int
     return assignment
 
 
-def greedy_assign(g: InterferenceGraph, k: int, restarts: int = 16) -> dict[int, int]:
+def greedy_assign(g: InterferenceGraph, k: int) -> dict[int, int]:
     """Channel assignment over k channels.
 
     A greedy pass processes nodes by weighted degree descending (ties by
     id) and gives each the channel with the least conflict against
     already-assigned neighbors.  The result is then refined by local
-    single-node moves, plus a fixed number of seeded random restarts:
+    single-node moves, plus _RESTARTS seeded random restarts:
     the plain greedy pass alone lands in poor local optima often enough
     to matter (it can leave conflict on instances a perfect assignment
     would resolve completely).  Deterministic for a given graph.
@@ -100,7 +102,7 @@ def greedy_assign(g: InterferenceGraph, k: int, restarts: int = 16) -> dict[int,
     best_weight = conflict_weight(g, best)
     rng = Random(0x5EED)
     nodes = g.vertices()
-    for _ in range(restarts):
+    for _ in range(_RESTARTS):
         if best_weight == 0.0:
             break
         candidate = _sweep(g, {n: rng.randrange(k) for n in nodes}, k)

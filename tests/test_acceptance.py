@@ -23,7 +23,7 @@ from geogossip.scenario import (
     four_node_demo,
     generate_scenario,
 )
-from geogossip.simulate import Simulation, convergence_round, ground_truth
+from geogossip.simulate import Simulation, convergence_round
 from geogossip.spectrum import (
     HintState,
     InterferenceGraph,
@@ -141,7 +141,7 @@ def test_05_oracle_equivalence(report):
     sc = generate_scenario(200, region=(5000.0, 5000.0), radius_law=RADII, rng_seed=11)
     sim = Simulation(sc)
     sim.run(30)
-    gt = ground_truth(sc)
+    gt = sim.oracle.candidates
     exact = all(
         {item.node_id for item, _ in entries} == gt[nid]
         for nid, entries in sim.candidate_lists().items()
@@ -174,10 +174,9 @@ def test_06_geometry(report):
 
 
 def test_07_quartet(report):
-    sc = four_node_demo()
-    gt = ground_truth(sc)
+    sim = Simulation(four_node_demo())
+    gt = sim.oracle.candidates
     sets_ok = gt == {1: {2, 4}, 2: {1, 4}, 3: {4}, 4: {1, 2, 3}}
-    sim = Simulation(sc)
     series = sim.run(5)
     conv = convergence_round(series, 1.0)
     lists_ok = all(

@@ -1,10 +1,17 @@
 import os
+from dataclasses import replace
 from ipaddress import IPv4Address
 
 import pytest
 
 from geogossip.cli import main
-from geogossip.scenario import four_node_demo, load_scenario, save_scenario
+from geogossip.scenario import (
+    ChurnEvent,
+    NodeSpec,
+    four_node_demo,
+    load_scenario,
+    save_scenario,
+)
 from geogossip.wire import DiscoveryItem, encode
 
 
@@ -74,12 +81,20 @@ class TestRun:
         assert a.read_text() == b.read_text()
 
 
+_ONE_NODE = "[nodes]\n1 0.0 0.0 5.0\n\n[seeds]\n1\n\n"
+
+
 @pytest.mark.parametrize("command", [
     ["run"], ["churn-run", "--rounds", "2"], ["assign", "--rounds", "2"],
 ], ids=["run", "churn-run", "assign"])
 @pytest.mark.parametrize("text", [
     "c_rand = abc\n", "c_rand = 0\n", "[nodes]\n1 95.0 0.0 100.0\n\n[seeds]\n1\n",
-], ids=["non-numeric", "zero-capacity", "latitude-95"])
+    _ONE_NODE + "[churn]\n-1 leave 1\n",
+    _ONE_NODE + "[churn]\n0 leave 2\n",
+    _ONE_NODE + "[churn]\n3 join 1 0.0 0.0 5.0\n",
+    _ONE_NODE + "[churn]\n0 leave 1\n1 leave 1\n",
+], ids=["non-numeric", "zero-capacity", "latitude-95", "churn-negative-round",
+        "leave-of-non-member", "join-of-live-id", "double-leave"])
 def test_invalid_scenario_exits_2(command, text, tmp_path, capsys):
     path = tmp_path / "bad.scn"
     path.write_text(text)
@@ -89,6 +104,19 @@ def test_invalid_scenario_exits_2(command, text, tmp_path, capsys):
 
 
 class TestChurnRun:
+    @pytest.mark.parametrize("churn, radius", [
+        ([], "-5"),
+        # the generated schedule's first joiner takes id 5 again at round 0
+        ([ChurnEvent(0, "join", node=NodeSpec(5, 59.91, 10.75, 50.0))], "100"),
+    ], ids=["negative-radius", "joiner-id-taken"])
+    def test_schedule_that_cannot_be_added_exits_2(self, churn, radius, tmp_path, capsys):
+        path = tmp_path / "scn.txt"
+        save_scenario(replace(four_node_demo(), churn=churn), path)
+        rc = main(["churn-run", str(path), "--rounds", "2", "--rate", "0.25",
+                   "--radius", radius, "--out", str(tmp_path / "m.csv")])
+        assert rc == 2
+        assert "cannot add churn" in capsys.readouterr().err
+
     def test_runs_with_schedule(self, tmp_path, capsys):
         scn_path = tmp_path / "scn.txt"
         assert main(["gen", "--n", "40", "--region", "2000x2000",

@@ -96,6 +96,22 @@ class TestValidation:
             ChurnEvent(0, "leave")
         with pytest.raises(ValueError):
             ChurnEvent(0, "crash", node_id=1)
+        with pytest.raises(ValueError):
+            ChurnEvent(-1, "leave", node_id=1)
+
+    def test_schedule_replayed_in_engine_order(self):
+        # by round, then as listed: the leave is listed first but comes after
+        # the join, and a node may leave and rejoin within one round
+        nodes = [NodeSpec(1, 0.0, 0.0, 10.0)]
+        churn = [ChurnEvent(2, "leave", node_id=7),
+                 ChurnEvent(1, "join", node=NodeSpec(7, 0.0, 0.0, 10.0)),
+                 ChurnEvent(3, "leave", node_id=1),
+                 ChurnEvent(3, "join", node=NodeSpec(1, 0.0, 0.0, 10.0))]
+        Scenario(nodes=nodes, seeds=[1], churn=churn)
+        with pytest.raises(ValueError):
+            Scenario(nodes=nodes, seeds=[1], churn=churn[:1])
+        with pytest.raises(ValueError):
+            Scenario(nodes=nodes, seeds=[1], churn=churn[3:] + churn[2:3])
 
     def test_address_is_deterministic_documentation_prefix(self):
         assert address_for(1) == IPv6Address("2001:db8::1")
@@ -152,6 +168,11 @@ class TestGeneration:
             generate_scenario(5, region=(100.0, 100.0), radius_law=-1.0, rng_seed=1)
         with pytest.raises(ValueError):
             generate_scenario(5, region=(100.0, 100.0), radius_law=(20.0, 10.0), rng_seed=1)
+
+    def test_region_past_a_pole_rejected(self):
+        with pytest.raises(InvalidRegionError):
+            generate_scenario(10, region=(10_000.0, 10_000.0), radius_law=100.0, rng_seed=1,
+                              origin=GeoPoint(89.95, 0.0))
 
     def test_uniform_placement_chi_square(self):
         # split the box into a 4x4 grid; occupancy should be uniform
@@ -219,6 +240,9 @@ class TestChurnSchedule:
         assert build() == build()
 
 
+_ONE_NODE = "[nodes]\n1 0.0 0.0 5.0\n\n[seeds]\n1\n\n"
+
+
 class TestFileRoundTrip:
     def test_byte_identical_dump(self):
         sc = generate_scenario(40, region=(2000.0, 2000.0), radius_law=(10.0, 99.0), rng_seed=8)
@@ -269,10 +293,15 @@ class TestFileRoundTrip:
         "[nodes]\n1 0.0 0.0 -100.0\n",
         "[churn]\n0 leave\n",
         "[churn]\n0 join 7 95.0 0.0 100.0\n",
+        _ONE_NODE + "[churn]\n-1 leave 1\n",
+        _ONE_NODE + "[churn]\n0 leave 2\n",
+        _ONE_NODE + "[churn]\n3 join 1 0.0 0.0 5.0\n",
+        _ONE_NODE + "[churn]\n0 leave 1\n1 leave 1\n",
     ], ids=["non-numeric-param", "non-numeric-seed", "zero-capacity", "p-far-above-1",
             "unknown-strategy", "sample-half-above-c-rand", "zero-period", "unknown-key",
             "header-without-equals", "node-latitude-95", "node-negative-radius",
-            "churn-missing-field", "joiner-latitude-95"])
+            "churn-missing-field", "joiner-latitude-95", "churn-negative-round",
+            "leave-of-non-member", "join-of-live-id", "double-leave"])
     def test_every_failure_is_a_format_error(self, text):
         with pytest.raises(ScenarioFormatError):
             loads(text)
@@ -321,11 +350,19 @@ def _params(draw):
 def _scenarios(draw):
     nodes = draw(st.lists(_SPEC, min_size=1, max_size=8, unique_by=lambda n: n.node_id))
     ids = [n.node_id for n in nodes]
-    churn = draw(st.lists(st.one_of(
-        st.builds(ChurnEvent, st.integers(0, 1000), st.just("join"), node=_SPEC),
-        st.builds(ChurnEvent, st.integers(0, 1000), st.just("leave"),
-                  node_id=st.one_of(st.sampled_from(ids), _ID)),
-    ), max_size=6))
+    # a scenario checks its schedule, so replay a live set: each leave
+    # names a live node and each join an id that is not live
+    live = set(ids)
+    churn = []
+    for rnd in sorted(draw(st.lists(st.integers(0, 1000), max_size=6))):
+        if live and draw(st.booleans()):
+            victim = draw(st.sampled_from(sorted(live)))
+            live.remove(victim)
+            churn.append(ChurnEvent(rnd, "leave", node_id=victim))
+        else:
+            joiner = draw(_SPEC.filter(lambda n: n.node_id not in live))
+            live.add(joiner.node_id)
+            churn.append(ChurnEvent(rnd, "join", node=joiner))
     return Scenario(nodes=nodes, seeds=draw(st.lists(st.sampled_from(ids), max_size=3)),
                     params=draw(_params()), churn=churn, rng_seed=draw(st.integers(0, 1 << 64)))
 

@@ -1,9 +1,12 @@
 import hashlib
 import math
+from ipaddress import IPv6Address
 from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geogossip.geometry import CoordinationArea, GeoPoint, distances_np, is_candidate
 from geogossip.overlay import candidate_list
@@ -11,7 +14,6 @@ from geogossip.scenario import (
     METERS_PER_DEG_LAT,
     ChurnEvent,
     NodeSpec,
-    Params,
     Scenario,
     add_random_churn,
     address_for,
@@ -19,15 +21,12 @@ from geogossip.scenario import (
     generate_scenario,
 )
 from geogossip.simulate import (
+    LatitudeIndex,
     MetricsRow,
     MetricsSeries,
     Simulation,
     UnknownNodeError,
-    compute_ground_truth,
     convergence_round,
-    ground_truth,
-    live_specs_at,
-    run,
 )
 
 
@@ -37,14 +36,14 @@ def small_scenario(n=150, seed=1, radius=(100.0, 600.0)):
 
 class TestGroundTruth:
     def test_symmetric_and_irreflexive(self):
-        gt = ground_truth(small_scenario())
+        gt = LatitudeIndex(small_scenario().nodes).candidates
         for nid, neighbors in gt.items():
             assert nid not in neighbors
             for other in neighbors:
                 assert nid in gt[other]
 
     def test_quartet_sets(self):
-        gt = ground_truth(four_node_demo())
+        gt = LatitudeIndex(four_node_demo().nodes).candidates
         assert gt[1] == {2, 4}
         assert gt[2] == {1, 4}
         assert gt[3] == {4}
@@ -54,7 +53,7 @@ class TestGroundTruth:
         # the band scan over arrays must agree with the public predicate,
         # evaluated one pair at a time
         sc = generate_scenario(600, region=(6000.0, 6000.0), radius_law=(50.0, 400.0), rng_seed=2)
-        gt = compute_ground_truth(sc.nodes)
+        gt = LatitudeIndex(sc.nodes).candidates
         by_id = {s.node_id: s for s in sc.nodes}
         rng = Random(3)
         ids = sorted(by_id)
@@ -79,7 +78,7 @@ class TestGroundTruth:
         degrees = []
         for seed in range(5):
             sc = generate_scenario(n, region=(L, L), radius_law=r, rng_seed=seed)
-            gt = ground_truth(sc)
+            gt = LatitudeIndex(sc.nodes).candidates
             degrees.extend(len(v) for v in gt.values())
         mean = sum(degrees) / len(degrees)
         assert mean == pytest.approx(expected, rel=0.05)
@@ -90,15 +89,24 @@ class TestGroundTruth:
             ChurnEvent(2, "leave", node_id=3),
             ChurnEvent(4, "join", node=NodeSpec(9, 59.91, 10.75, 50.0)),
         ])
-        assert {s.node_id for s in live_specs_at(sc, 0)} == {1, 2, 3, 4}
-        assert {s.node_id for s in live_specs_at(sc, 2)} == {1, 2, 4}
-        assert {s.node_id for s in live_specs_at(sc, 4)} == {1, 2, 4, 9}
+        sim = Simulation(sc)
+        live = {}
+        for _ in range(5):
+            row = sim.step()
+            live[row.round] = set(sim.nodes)
+        assert live[0] == {1, 2, 3, 4}
+        assert live[2] == {1, 2, 4}
+        assert live[4] == {1, 2, 4, 9}
 
     def test_leave_of_dead_node_rejected(self):
-        sc = four_node_demo()
-        sc.churn.append(ChurnEvent(0, "leave", node_id=42))
+        demo = four_node_demo()
+        with pytest.raises(ValueError):
+            Scenario(nodes=demo.nodes, seeds=demo.seeds,
+                     churn=[ChurnEvent(0, "leave", node_id=42)])
+        # the engine still guards a direct call
+        sim = Simulation(demo)
         with pytest.raises(UnknownNodeError):
-            live_specs_at(sc, 0)
+            sim.apply_churn([ChurnEvent(0, "leave", node_id=42)], now_ms=0)
 
 
 def exhaustive_candidates(specs):
@@ -126,10 +134,10 @@ class TestLatitudeIndex:
                               radius_law=(100.0, 600.0))
         sim = Simulation(sc)
         for _ in range(8):
-            row = sim.step()
+            sim.step()
             live = [node.spec for node in sim.nodes.values()]
             assert sim.oracle.candidates == exhaustive_candidates(live)
-            assert ground_truth(sc, row.round) == sim.oracle.candidates
+            assert LatitudeIndex(live).candidates == sim.oracle.candidates
 
     def test_straddling_the_antimeridian(self):
         rng = Random(11)
@@ -138,9 +146,18 @@ class TestLatitudeIndex:
                      rng.uniform(100.0, 600.0))
             for i in range(1, 301)
         ]
-        gt = compute_ground_truth(specs)
+        gt = LatitudeIndex(specs).candidates
         assert gt == exhaustive_candidates(specs)
         east = {s.node_id for s in specs if s.longitude > 0.0}
+        assert any(nid in east and nbrs - east for nid, nbrs in gt.items())
+
+    def test_generated_scenario_straddles_the_antimeridian(self):
+        sc = generate_scenario(300, region=(10_000.0, 10_000.0), radius_law=(100.0, 600.0),
+                               rng_seed=4, origin=GeoPoint(0.0, 179.95))
+        gt = LatitudeIndex(sc.nodes).candidates
+        assert gt == exhaustive_candidates(sc.nodes)
+        east = {s.node_id for s in sc.nodes if s.longitude > 0.0}
+        assert 0 < len(east) < len(sc.nodes)
         assert any(nid in east and nbrs - east for nid, nbrs in gt.items())
 
     def test_near_the_pole(self):
@@ -155,7 +172,7 @@ class TestLatitudeIndex:
                      rng.uniform(100.0, 600.0))
             for i in range(200)
         ]
-        gt = compute_ground_truth(specs)
+        gt = LatitudeIndex(specs).candidates
         assert gt == exhaustive_candidates(specs)
         assert sum(map(len, gt.values())) > 0
 
@@ -207,13 +224,13 @@ class TestSimulationBasics:
         sim = Simulation(four_node_demo())
         series = sim.run(5)
         assert convergence_round(series, 1.0) is not None
-        gt = ground_truth(four_node_demo())
+        gt = LatitudeIndex(four_node_demo().nodes).candidates
         for nid, entries in sim.candidate_lists().items():
             assert {item.node_id for item, _ in entries} == gt[nid]
 
     def test_deterministic_replay(self):
-        a = run(small_scenario(), 10)
-        b = run(small_scenario(), 10)
+        a = Simulation(small_scenario()).run(10)
+        b = Simulation(small_scenario()).run(10)
         assert a == b
         sim_a, sim_b = Simulation(small_scenario()), Simulation(small_scenario())
         sim_a.run(10)
@@ -221,25 +238,25 @@ class TestSimulationBasics:
         assert sim_a.candidate_lists() == sim_b.candidate_lists()
 
     def test_seed_changes_trajectory(self):
-        a = run(small_scenario(seed=1), 3)
-        b = run(small_scenario(seed=2), 3)
+        a = Simulation(small_scenario(seed=1)).run(3)
+        b = Simulation(small_scenario(seed=2)).run(3)
         assert a != b
 
     def test_recall_monotone_without_churn(self):
-        series = run(small_scenario(), 20)
+        series = Simulation(small_scenario()).run(20)
         recalls = [r.mean_recall for r in series.rows]
         assert all(b >= a for a, b in zip(recalls, recalls[1:]))
         assert series.final_recall() == 1.0
 
     def test_bytes_are_descriptor_count_times_frame(self):
-        series = run(small_scenario(), 5)
+        series = Simulation(small_scenario()).run(5)
         assert series.total_bytes == 56 * series.total_descriptors
         assert sum(r.bytes_sent_mean * r.live_nodes for r in series.rows) == pytest.approx(
             series.total_bytes)
 
     def test_bandwidth_accounting(self):
         sc = small_scenario()
-        series = run(sc, 5)
+        series = Simulation(sc).run(5)
         per_node_round = series.total_bytes / series.node_rounds
         assert series.mean_bytes_per_second(15.0) == pytest.approx(per_node_round / 15.0)
 
@@ -266,15 +283,19 @@ class TestCandidateLists:
 
 class TestDelegation:
     def test_delegated_node_emits_the_delegate_endpoint(self):
-        sim = Simulation(four_node_demo(), delegates={1: 2, 3: (1 << 64) - 1})
+        sc = four_node_demo()
+        sc.churn.append(ChurnEvent(2, "join", node=NodeSpec(9, 59.91, 10.75, 50.0)))
+        sim = Simulation(sc, delegates={1: 2, 3: 9})
         assert sim.nodes[1].own_item(0).address == address_for(2)
-        assert sim.nodes[3].own_item(0).address == address_for((1 << 64) - 1)
+        assert sim.nodes[3].own_item(0).address == address_for(9)
         assert sim.nodes[2].own_item(0).address == address_for(2)
+        # the top of the id range maps to the top of the endpoint range
+        assert address_for((1 << 64) - 1) == IPv6Address("2001:db8::ffff:ffff:ffff:ffff")
 
     @pytest.mark.parametrize("delegates", [
-        {5: 5}, {1: 1}, {1: -1}, {-1: 2}, {1: 1 << 64}, {1 << 64: 2},
+        {5: 5}, {1: 1}, {1: -1}, {-1: 2}, {1: 1 << 64}, {1 << 64: 2}, {1: 99},
     ], ids=["self-unknown-node", "self-live-node", "negative-delegate", "negative-node",
-            "delegate-over-64-bits", "node-over-64-bits"])
+            "delegate-over-64-bits", "node-over-64-bits", "non-member-delegate"])
     def test_invalid_delegation_rejected(self, delegates):
         with pytest.raises(ValueError):
             Simulation(four_node_demo(), delegates=delegates)
@@ -288,7 +309,7 @@ class TestChurnHandling:
         sim = Simulation(sc)
         sim.run(20)
         gt = sim.candidate_lists()[9001]
-        want = ground_truth(sc, round_index=10)[9001]
+        want = sim.oracle.candidates[9001]
         assert {item.node_id for item, _ in gt} == want
 
     def test_leaver_eventually_forgotten(self):
@@ -308,7 +329,7 @@ class TestChurnHandling:
         sim = Simulation(sc)
         sim.run(20)
         found = {item.node_id for item, _ in sim.candidate_lists()[9001]}
-        want = ground_truth(sc, round_index=6)[9001] - {sc.seeds[0]}
+        want = sim.oracle.candidates[9001] - {sc.seeds[0]}
         assert found >= want
 
     def test_settled_metric_excludes_new_joiners(self):
@@ -327,12 +348,49 @@ class TestChurnHandling:
                               radius_law=(100.0, 600.0))
         series = Simulation(sc).run(10)
         for row in series.rows:
-            assert row.live_nodes == len(live_specs_at(sc, row.round))
+            joins = sum(ev.op == "join" for ev in sc.churn if ev.round <= row.round)
+            leaves = sum(ev.op == "leave" for ev in sc.churn if ev.round <= row.round)
+            assert row.live_nodes == len(sc.nodes) + joins - leaves
+
+
+# few ids and a small box, so schedules often revisit an id and disks overlap
+_SMALL_ID = st.integers(1, 12)
+_SMALL_SPEC = st.builds(NodeSpec, _SMALL_ID, st.floats(59.90, 59.92), st.floats(10.74, 10.76),
+                        st.floats(0.0, 600.0))
+_SMALL_EVENT = st.one_of(
+    st.builds(ChurnEvent, st.integers(0, 5), st.just("join"), node=_SMALL_SPEC),
+    st.builds(ChurnEvent, st.integers(0, 5), st.just("leave"), node_id=_SMALL_ID),
+)
+
+
+class TestScheduleProperties:
+    @settings(deadline=None)
+    @given(st.lists(_SMALL_SPEC, max_size=8, unique_by=lambda n: n.node_id),
+           st.lists(_SMALL_EVENT, max_size=8), st.integers(0, 1 << 32))
+    def test_a_checked_schedule_runs_and_a_rejected_one_would_not(self, nodes, churn, seed):
+        seeds = [nodes[0].node_id] if nodes else []
+        try:
+            sc = Scenario(nodes=nodes, seeds=seeds, churn=churn, rng_seed=seed)
+        except ValueError:
+            # past the check, the engine's own guards stop the same schedule
+            sc = Scenario(nodes=nodes, seeds=seeds, rng_seed=seed)
+            sc.churn.extend(churn)
+            with pytest.raises((ValueError, UnknownNodeError)):
+                Simulation(sc).run(6)
+            return
+        sim = Simulation(sc)
+        for _ in range(max((ev.round for ev in churn), default=0) + 1):
+            row = sim.step()
+            joins = sum(ev.op == "join" for ev in churn if ev.round <= row.round)
+            leaves = sum(ev.op == "leave" for ev in churn if ev.round <= row.round)
+            assert row.live_nodes == len(nodes) + joins - leaves == len(sim.nodes)
+            live = [node.spec for node in sim.nodes.values()]
+            assert sim.oracle.candidates == exhaustive_candidates(live)
 
 
 class TestMetricsCsv:
     def test_columns_and_row_count(self, tmp_path):
-        series = run(four_node_demo(), 3)
+        series = Simulation(four_node_demo()).run(3)
         path = tmp_path / "metrics.csv"
         series.to_csv(path)
         lines = path.read_text().splitlines()
