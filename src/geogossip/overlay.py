@@ -19,7 +19,7 @@ from random import Random
 
 import numpy as np
 
-from .geometry import distances_np, overlap_area_f
+from .geometry import distances_np, meridian_arc_bound, overlap_area_f
 from .sampling import EmptyViewError, RandomView
 from .wire import DiscoveryItem
 
@@ -52,6 +52,10 @@ class RankedView:
         # conservative lower bound on the oldest non-candidate timestamp;
         # lets merge skip the staleness scan while everything is fresh
         self._min_ts = float("inf")
+        # the capacity-th smallest key, set at each capacity cut and cleared
+        # when an entry leaves: adding entries only lowers the true
+        # frontier, so a cached one stays an upper bound on it
+        self._frontier: tuple | None = None
 
     def __len__(self):
         return len(self.entries)
@@ -61,23 +65,7 @@ class RankedView:
 
     def drop(self, node_id: int):
         self.entries.pop(node_id, None)
-
-    def score(self, items: list[DiscoveryItem]) -> list[RankedEntry]:
-        """An entry for each item, scored for this owner from one kernel
-        call over the batch."""
-        dists = distances_np(self.lat, self.lon,
-                             np.array([it.latitude for it in items]),
-                             np.array([it.longitude for it in items]))
-        radius = self.radius
-        scored = []
-        for item, dist in zip(items, dists):
-            dist = float(dist)
-            if dist < radius + item.radius:
-                util = overlap_area_f(dist, radius, item.radius)
-                scored.append(RankedEntry(item, util, dist, True))
-            else:
-                scored.append(RankedEntry(item, 0.0, dist, False))
-        return scored
+        self._frontier = None
 
     def candidate_ids(self) -> set[int]:
         return {nid for nid, e in self.entries.items() if e.candidate}
@@ -85,10 +73,17 @@ class RankedView:
     def merge(self, items, now_ms: int, stale_ms: int):
         """Fold received items in: keep the freshest copy per id, re-score
         moved nodes, evict stale entries, truncate non-candidates past
-        capacity.  Candidates survive the cut as long as they are fresh."""
+        capacity.  Candidates survive the cut as long as they are fresh.
+
+        An item that the capacity cut would drop in this same call is never
+        scored: a non-candidate keyed past the capacity frontier is
+        rejected on the meridian-arc bound, or else on its key.  The
+        entries kept are those of scoring every item and then cutting.
+        """
         pending: dict[int, DiscoveryItem] = {}
         own = self.owner_id
-        entries_get = self.entries.get
+        entries = self.entries
+        entries_get = entries.get
         pending_get = pending.get
         for item in items:
             nid = item.node_id
@@ -107,11 +102,6 @@ class RankedView:
             if prev is not None and item.timestamp_ms <= prev.timestamp_ms:
                 continue
             pending[nid] = item
-        if pending:
-            for e in self.score(list(pending.values())):
-                if not e.candidate and e.item.timestamp_ms < self._min_ts:
-                    self._min_ts = e.item.timestamp_ms
-                self.entries[e.item.node_id] = e
         # staleness applies to non-candidates only: a pinned candidate must
         # never drop out while its node is alive (refresh gossip can lag past
         # any fixed window); dead candidates are removed by failed-contact
@@ -119,20 +109,70 @@ class RankedView:
         cutoff = now_ms - stale_ms
         if self._min_ts < cutoff:
             stale = [
-                nid for nid, e in self.entries.items()
+                nid for nid, e in entries.items()
                 if not e.candidate and e.item.timestamp_ms < cutoff
             ]
-            for nid in stale:
-                del self.entries[nid]
+            if stale:
+                for nid in stale:
+                    del entries[nid]
+                self._frontier = None
             self._min_ts = min(
-                (e.item.timestamp_ms for e in self.entries.values() if not e.candidate),
+                (e.item.timestamp_ms for e in entries.values() if not e.candidate),
                 default=float("inf"),
             )
-        if len(self.entries) > self.capacity:
-            ranked = sorted(self.entries.values(), key=_entry_key)
+        if pending:
+            self._admit(list(pending.values()), cutoff)
+        if len(entries) > self.capacity:
+            ranked = sorted(entries.values(), key=_entry_key)
+            # the cut keeps every entry ranked inside capacity, so this is
+            # the frontier of the entries that remain
+            self._frontier = ranked[self.capacity - 1].key
             for e in ranked[self.capacity:]:
                 if not e.candidate:
-                    del self.entries[e.item.node_id]
+                    del entries[e.item.node_id]
+
+    def _admit(self, items: list[DiscoveryItem], cutoff: int):
+        """Score and enter the pending items that the stale and capacity
+        cuts would keep, once the entries they replace (moved or rejoined
+        nodes) have left."""
+        entries = self.entries
+        for item in items:
+            if item.node_id in entries:
+                del entries[item.node_id]
+                self._frontier = None
+        frontier = self._frontier
+        lat, radius = self.lat, self.radius
+        if frontier is not None:
+            # the bound never exceeds the kernel's distance: an item whose
+            # bound reaches the combined radii is no candidate, and one whose
+            # bound is past a non-candidate frontier's distance, or any
+            # bound when the frontier is a candidate, is keyed past it
+            past_candidate = frontier[0] < 0.0
+            frontier_dist = frontier[1]
+            near = []
+            for item in items:
+                bound = meridian_arc_bound(lat, item.latitude)
+                if bound >= radius + item.radius and (past_candidate or bound > frontier_dist):
+                    continue
+                near.append(item)
+            items = near
+            if not items:
+                return
+        dists = distances_np(lat, self.lon,
+                             np.array([it.latitude for it in items]),
+                             np.array([it.longitude for it in items])).tolist()
+        for item, dist in zip(items, dists):
+            if dist < radius + item.radius:
+                entries[item.node_id] = RankedEntry(
+                    item, overlap_area_f(dist, radius, item.radius), dist, True)
+                continue
+            ts = item.timestamp_ms
+            # (-0.0, dist, id) is the key of a non-candidate's entry
+            if ts < cutoff or (frontier is not None and (-0.0, dist, item.node_id) > frontier):
+                continue
+            entries[item.node_id] = RankedEntry(item, 0.0, dist, False)
+            if ts < self._min_ts:
+                self._min_ts = ts
 
 
 def select_target(view: RankedView, far: list[DiscoveryItem],

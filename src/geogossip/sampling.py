@@ -7,7 +7,8 @@ are evicted when the view overflows.  Aging doubles as churn cleanup:
 descriptors of dead nodes stop being refreshed and fall out.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
 from random import Random
 
 from .wire import DiscoveryItem
@@ -30,11 +31,19 @@ def _salt64(owner_id: int, node_id: int) -> int:
     return z ^ (z >> 31)
 
 
-@dataclass
+@dataclass(slots=True)
 class PeerDescriptor:
     item: DiscoveryItem
     age: int  # gossip rounds since the item was created
     salted: int  # _salt64(owner, node id): the eviction tie-break
+    neg_ts: int = field(init=False)  # -item.timestamp_ms: fresher sorts first
+
+    def __post_init__(self):
+        self.neg_ts = -self.item.timestamp_ms
+
+
+# oldest last; among equal ages the fresher item first, then the salted mix
+_evict_key = attrgetter("age", "neg_ts", "salted")
 
 
 class RandomView:
@@ -77,7 +86,7 @@ class RandomView:
             cur = entries_get(nid)
             if cur is None:
                 self.entries[nid] = PeerDescriptor(item, age, _salt64(owner, nid))
-            elif (age, -item.timestamp_ms) < (cur.age, -cur.item.timestamp_ms):
+            elif (age, -item.timestamp_ms) < (cur.age, cur.neg_ts):
                 self.entries[nid] = PeerDescriptor(item, age, cur.salted)
         self._evict()
 
@@ -86,10 +95,7 @@ class RandomView:
             # age/timestamp ties are common (items minted the same round), so
             # the last tie-break is the owner-salted mix: a plain id ordering
             # would evict the same nodes from every view in the overlay
-            ranked = sorted(
-                self.entries.values(),
-                key=lambda d: (d.age, -d.item.timestamp_ms, d.salted),
-            )
+            ranked = sorted(self.entries.values(), key=_evict_key)
             self.entries = {d.item.node_id: d for d in ranked[: self.capacity]}
 
 

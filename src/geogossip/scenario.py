@@ -11,10 +11,8 @@ from dataclasses import dataclass, field, replace
 from ipaddress import IPv6Address
 from random import Random
 
-from .geometry import EARTH_RADIUS_M, GeoPoint
+from .geometry import METERS_PER_DEG_LAT, GeoPoint
 from .wire import check_ranges
-
-METERS_PER_DEG_LAT = EARTH_RADIUS_M * math.pi / 180.0
 
 _ADDR_BASE = 0x2001_0DB8 << 96
 
@@ -121,14 +119,23 @@ class Scenario:
         missing = [s for s in self.seeds if s not in initial]
         if missing:
             raise ValueError(f"seeds not present at round 0: {missing}")
-        # replay the schedule in the engine's order: by round, then as listed
-        live = initial
-        for ev in sorted(self.churn, key=lambda ev: ev.round):
-            nid = ev.node.node_id if ev.op == "join" else ev.node_id
-            if (nid in live) == (ev.op == "join"):
-                state = "alive" if nid in live else "not alive"
-                raise ValueError(f"round {ev.round}: node {nid} cannot {ev.op} while {state}")
-            live ^= {nid}
+        _replay(initial, self.churn)
+
+
+def _event_id(ev: ChurnEvent) -> int:
+    return ev.node.node_id if ev.op == "join" else ev.node_id
+
+
+def _replay(live: set[int], events) -> None:
+    """Apply churn events to a set of live ids in the engine's order: by
+    round, then as listed.  Raises ValueError at a join of a live id or a
+    leave of one that is not live."""
+    for ev in sorted(events, key=lambda ev: ev.round):
+        nid = _event_id(ev)
+        if (nid in live) == (ev.op == "join"):
+            state = "alive" if nid in live else "not alive"
+            raise ValueError(f"round {ev.round}: node {nid} cannot {ev.op} while {state}")
+        live ^= {nid}
 
 
 def _radius_law(spec) -> tuple[float, float]:
@@ -214,15 +221,26 @@ def add_random_churn(
 ) -> Scenario:
     """Append a join+leave schedule: each round, `rate` fraction of the
     current population joins (fresh ids) and the same count leaves.
-    Seed nodes are never removed so joiners always have a bootstrap point."""
+
+    The scenario's own schedule is replayed alongside: a round's
+    population includes that round's listed events, which run first, and
+    fresh ids start above every id the scenario names.  Seed nodes are
+    never removed, so joiners always have a bootstrap point, and neither
+    is a node that a later listed event names."""
     rng = Random(scenario.rng_seed ^ 0xC4A12)
     lo, hi = _radius_law(radius_law)
     width, height = region
     live = {n.node_id for n in scenario.nodes}
     protected = set(scenario.seeds)
-    next_id = max(live) + 1
+    last_named: dict[int, int] = {}  # id -> the last round a listed event names it
+    for ev in scenario.churn:
+        nid = _event_id(ev)
+        last_named[nid] = max(ev.round, last_named.get(nid, ev.round))
+    next_id = max(live | set(last_named), default=0) + 1
+    _replay(live, [ev for ev in scenario.churn if ev.round < start_round])
     events = list(scenario.churn)
     for r in range(start_round, start_round + rounds):
+        _replay(live, [ev for ev in scenario.churn if ev.round == r])
         count = int(round(rate * len(live)))
         for _ in range(count):
             x, y = rng.uniform(0.0, width), rng.uniform(0.0, height)
@@ -231,7 +249,7 @@ def add_random_churn(
             events.append(ChurnEvent(r, "join", node=NodeSpec(next_id, lat, lon, radius)))
             live.add(next_id)
             next_id += 1
-        removable = sorted(live - protected)
+        removable = sorted(nid for nid in live - protected if last_named.get(nid, r) <= r)
         for _ in range(count):
             if not removable:
                 break

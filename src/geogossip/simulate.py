@@ -14,7 +14,7 @@ from random import Random
 
 import numpy as np
 
-from .geometry import distances_np
+from .geometry import METERS_PER_DEG_LAT, distances_np
 from .overlay import RankedView, buffer_for, candidate_list, select_target
 from .sampling import (
     EmptyViewError,
@@ -23,7 +23,7 @@ from .sampling import (
     merge_random,
     sample_partner,
 )
-from .scenario import METERS_PER_DEG_LAT, ChurnEvent, NodeSpec, Params, Scenario, address_for
+from .scenario import ChurnEvent, NodeSpec, Params, Scenario, address_for
 from .wire import FRAME_LEN, DiscoveryItem
 
 

@@ -99,14 +99,15 @@ def greedy_assign(g: InterferenceGraph, k: int) -> dict[int, int]:
                 cost[ch] += w
         assignment[node] = min(range(k), key=lambda c: (cost[c], c))
     best = _sweep(g, assignment, k)
-    best_weight = conflict_weight(g, best)
+    edges = g.edges()
+    best_weight = _conflict(edges, best)
     rng = Random(0x5EED)
     nodes = g.vertices()
     for _ in range(_RESTARTS):
         if best_weight == 0.0:
             break
         candidate = _sweep(g, {n: rng.randrange(k) for n in nodes}, k)
-        weight = conflict_weight(g, candidate)
+        weight = _conflict(edges, candidate)
         if weight < best_weight:
             best, best_weight = candidate, weight
     return dict(sorted(best.items()))
@@ -114,7 +115,13 @@ def greedy_assign(g: InterferenceGraph, k: int) -> dict[int, int]:
 
 def conflict_weight(g: InterferenceGraph, assignment: dict[int, int]) -> float:
     """Total weight of edges whose endpoints share a channel."""
-    return sum(w for a, b, w in g.edges() if assignment[a] == assignment[b])
+    return _conflict(g.edges(), assignment)
+
+
+def _conflict(edges: list[tuple[int, int, float]], assignment: dict[int, int]) -> float:
+    """conflict_weight over g.edges() sorted once: the sum runs in that
+    order, so its bits do not depend on which caller sorted."""
+    return sum(w for a, b, w in edges if assignment[a] == assignment[b])
 
 
 def local_conflict(g: InterferenceGraph, assignment: dict[int, int], node_id: int) -> float:

@@ -6,6 +6,8 @@ from random import Random
 
 import numpy as np
 
+from geogossip.geometry import distances_np, overlap_area_f
+from geogossip.overlay import RankedEntry
 from geogossip.wire import DiscoveryItem
 
 
@@ -42,3 +44,85 @@ def mc_overlap_area(r1: float, r2: float, d: float, samples: int, seed: int) -> 
     disk1 = math.pi * r1 * r1
     stderr = disk1 * math.sqrt(max(p * (1.0 - p), 1e-30) / samples)
     return disk1 * p, stderr
+
+
+class ReferenceRankedView:
+    """The ranked-view merge that scores every pending item and then cuts.
+
+    This is how RankedView.merge worked before it learned to reject items
+    ahead of scoring; tests drive both with the same streams and require
+    the same entries after every call.
+    """
+
+    def __init__(self, owner_id: int, lat: float, lon: float, radius: float, capacity: int):
+        self.owner_id = owner_id
+        self.lat = lat
+        self.lon = lon
+        self.radius = radius
+        self.capacity = capacity
+        self.entries: dict[int, RankedEntry] = {}
+        self._min_ts = float("inf")
+
+    def drop(self, node_id: int):
+        self.entries.pop(node_id, None)
+
+    def score(self, items: list[DiscoveryItem]) -> list[RankedEntry]:
+        dists = distances_np(self.lat, self.lon,
+                             np.array([it.latitude for it in items]),
+                             np.array([it.longitude for it in items]))
+        scored = []
+        for item, dist in zip(items, dists):
+            dist = float(dist)
+            if dist < self.radius + item.radius:
+                util = overlap_area_f(dist, self.radius, item.radius)
+                scored.append(RankedEntry(item, util, dist, True))
+            else:
+                scored.append(RankedEntry(item, 0.0, dist, False))
+        return scored
+
+    def merge(self, items, now_ms: int, stale_ms: int):
+        pending: dict[int, DiscoveryItem] = {}
+        for item in items:
+            nid = item.node_id
+            if nid == self.owner_id:
+                continue
+            cur = self.entries.get(nid)
+            if cur is not None:
+                if item.timestamp_ms <= cur.item.timestamp_ms:
+                    continue
+                if (item.latitude == cur.item.latitude
+                        and item.longitude == cur.item.longitude
+                        and item.radius == cur.item.radius):
+                    cur.item = item
+                    continue
+            prev = pending.get(nid)
+            if prev is not None and item.timestamp_ms <= prev.timestamp_ms:
+                continue
+            pending[nid] = item
+        if pending:
+            for e in self.score(list(pending.values())):
+                if not e.candidate and e.item.timestamp_ms < self._min_ts:
+                    self._min_ts = e.item.timestamp_ms
+                self.entries[e.item.node_id] = e
+        cutoff = now_ms - stale_ms
+        if self._min_ts < cutoff:
+            stale = [
+                nid for nid, e in self.entries.items()
+                if not e.candidate and e.item.timestamp_ms < cutoff
+            ]
+            for nid in stale:
+                del self.entries[nid]
+            self._min_ts = min(
+                (e.item.timestamp_ms for e in self.entries.values() if not e.candidate),
+                default=float("inf"),
+            )
+        if len(self.entries) > self.capacity:
+            ranked = sorted(self.entries.values(), key=lambda e: e.key)
+            for e in ranked[self.capacity:]:
+                if not e.candidate:
+                    del self.entries[e.item.node_id]
+
+
+def entry_bits(view) -> dict:
+    """A view's entries as {id: (key, item)}, floats compared by their bits."""
+    return {nid: (repr(e.key), e.candidate, e.item) for nid, e in view.entries.items()}

@@ -106,9 +106,7 @@ def test_invalid_scenario_exits_2(command, text, tmp_path, capsys):
 class TestChurnRun:
     @pytest.mark.parametrize("churn, radius", [
         ([], "-5"),
-        # the generated schedule's first joiner takes id 5 again at round 0
-        ([ChurnEvent(0, "join", node=NodeSpec(5, 59.91, 10.75, 50.0))], "100"),
-    ], ids=["negative-radius", "joiner-id-taken"])
+    ], ids=["negative-radius"])
     def test_schedule_that_cannot_be_added_exits_2(self, churn, radius, tmp_path, capsys):
         path = tmp_path / "scn.txt"
         save_scenario(replace(four_node_demo(), churn=churn), path)
@@ -116,6 +114,19 @@ class TestChurnRun:
                    "--radius", radius, "--out", str(tmp_path / "m.csv")])
         assert rc == 2
         assert "cannot add churn" in capsys.readouterr().err
+
+    def test_generated_joiners_skip_the_files_ids(self, tmp_path, capsys):
+        # the file joins id 5 at round 0; the generated joiners take 6 on
+        path = tmp_path / "scn.txt"
+        churn = [ChurnEvent(0, "join", node=NodeSpec(5, 59.91, 10.75, 50.0))]
+        save_scenario(replace(four_node_demo(), churn=churn), path)
+        out = tmp_path / "m.csv"
+        rc = main(["churn-run", str(path), "--rounds", "2", "--rate", "0.25",
+                   "--radius", "100", "--out", str(out)])
+        assert rc == 0, capsys.readouterr().err
+        rows = out.read_text().splitlines()[1:]
+        # five nodes after round 0's listed join, one generated join and one leave
+        assert [row.split(",")[-1] for row in rows] == ["5", "5"]
 
     def test_runs_with_schedule(self, tmp_path, capsys):
         scn_path = tmp_path / "scn.txt"

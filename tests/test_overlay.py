@@ -15,6 +15,8 @@ from geogossip.overlay import (
 from geogossip.sampling import EmptyViewError, RandomView
 from geogossip.wire import DiscoveryItem
 
+from helpers import ReferenceRankedView, entry_bits
+
 DEG_M = EARTH_RADIUS_M * math.pi / 180.0
 
 
@@ -45,23 +47,27 @@ def random_view_with(owner_id, items):
     return rv
 
 
+def merged_entry(item, radius=500.0):
+    """The entry that merging item alone into an empty view makes."""
+    view = view_at(radius=radius)
+    view.merge([item], now_ms=item.timestamp_ms, stale_ms=10**9)
+    return view.entries[item.node_id]
+
+
 class TestScoring:
     def test_overlapping_item_is_candidate(self):
-        view = view_at(radius=500.0)
-        [e] = view.score([item_at(2, 600.0, 0.0, 200.0)])
+        e = merged_entry(item_at(2, 600.0, 0.0, 200.0))
         assert e.candidate
         assert e.utility > 0.0
         assert e.dist == distances_np(0.0, 0.0, 600.0 / DEG_M, 0.0)
         assert e.utility == overlap_area_f(e.dist, 500.0, 200.0)
 
     def test_disjoint_item_scores_zero(self):
-        view = view_at(radius=500.0)
-        [e] = view.score([item_at(2, 5000.0, 0.0, 200.0)])
+        e = merged_entry(item_at(2, 5000.0, 0.0, 200.0))
         assert (e.utility, e.candidate) == (0.0, False)
         assert e.dist == pytest.approx(5000.0, rel=1e-3)
 
     def test_tangent_item_not_candidate(self):
-        view = view_at(radius=500.0)
         far = item_at(2, 3000.0, 0.0, 100.0)
         d = float(distances_np(0.0, 0.0, far.latitude, far.longitude))
         # the radius whose sum with the owner's is exactly the kernel distance
@@ -71,8 +77,7 @@ class TestScoring:
         while 500.0 + r > d:
             r = math.nextafter(r, -math.inf)
         assert 500.0 + r == d
-        tangent = replace(far, radius=r)
-        [e] = view.score([tangent])
+        e = merged_entry(replace(far, radius=r))
         assert (e.utility, e.candidate) == (0.0, False)
 
 
@@ -236,3 +241,135 @@ class TestCandidateList:
         assert item.node_id == 2
         assert item.address == IPv4Address("10.0.0.1") + 2
         assert util > 0.0
+
+
+PERIOD_MS = 15_000
+
+
+def _wrap_lon(lon):
+    lon = math.fmod(lon + 180.0, 360.0)
+    if lon < 0.0:
+        lon += 360.0
+    lon -= 180.0
+    return lon if lon < 180.0 else -180.0
+
+
+class _Stream:
+    """One seeded stream of merges and drops for a ranked view.
+
+    Nodes sit near the owner, far along its meridian, or at latitudes a
+    few ulps from the owner's; the owner may sit near a pole or on the
+    antimeridian.  A node moves from time to time, and an item carries the
+    node's position at its timestamp, as with a rejoin, so two copies
+    with one timestamp always agree.
+    """
+
+    def __init__(self, seed):
+        self.seed = seed
+        rng = self.rng = Random(seed)
+        self.lat = rng.choice([0.0, 59.91, 89.995, -89.995, rng.uniform(-80.0, 80.0)])
+        self.lon = rng.choice([0.0, 179.999, -180.0, rng.uniform(-180.0, 180.0)])
+        self.radius = rng.choice([0.0, 50.0, rng.uniform(100.0, 600.0)])
+        self.capacity = rng.randint(1, 8)
+        self.stale_ms = rng.randint(1, 5) * PERIOD_MS
+        self.ids = list(range(2, 2 + rng.randint(3, 24)))
+        # the owner's own id (1) turns up in batches too
+        self.move_every = {nid: rng.choice([1, 2, 3, 10**6]) for nid in [1] + self.ids}
+        self.radii = {nid: rng.choice([0.0, rng.uniform(10.0, 600.0)]) for nid in [1] + self.ids}
+        self.now_ms = 10 * PERIOD_MS
+
+    def position(self, nid, ts):
+        # one position per (node, epoch): the same timestamp, the same place
+        epoch = ts // (PERIOD_MS * self.move_every[nid])
+        rng = Random((self.seed * 1_000_003 + nid) * 1_000_003 + epoch)
+        kind = rng.random()
+        if kind < 0.15:
+            lat = self.lat
+            for _ in range(rng.randint(0, 3)):
+                lat = math.nextafter(lat, rng.choice([-90.0, 90.0]))
+            return min(90.0, max(-90.0, lat)), self.lon
+        spread = 5_000.0 if kind < 0.8 else 200_000.0
+        north = rng.uniform(-spread, spread)
+        east = rng.uniform(-spread, spread) * (kind < 0.8)
+        lat = min(90.0, max(-90.0, self.lat + north / DEG_M))
+        coslat = max(math.cos(math.radians(self.lat)), 1e-3)
+        return lat, _wrap_lon(self.lon + east / (DEG_M * coslat))
+
+    def item(self, nid, ts):
+        lat, lon = self.position(nid, ts)
+        return DiscoveryItem(nid, lat, lon, self.radii[nid], IPv4Address("10.0.0.1"), ts)
+
+    def steps(self, count):
+        rng = self.rng
+        for _ in range(count):
+            if rng.random() < 0.4:
+                self.now_ms += PERIOD_MS
+            if rng.random() < 0.1:
+                yield ("drop", rng.choice(self.ids))
+                continue
+            batch = []
+            for _ in range(rng.randint(0, 12)):
+                nid = rng.choice(self.ids + [1])
+                ts = max(0, self.now_ms - rng.randint(0, 7) * PERIOD_MS)
+                batch.append(self.item(nid, ts))
+            yield ("merge", batch)
+
+
+class TestMergeMatchesScoringEverything:
+    """RankedView.merge rejects items before scoring them; the entries it
+    keeps must be those of scoring every item and then cutting."""
+
+    @staticmethod
+    def replay(stream, steps):
+        view = RankedView(1, stream.lat, stream.lon, stream.radius, stream.capacity)
+        ref = ReferenceRankedView(1, stream.lat, stream.lon, stream.radius, stream.capacity)
+        for op, arg in stream.steps(steps):
+            for v in (view, ref):
+                if op == "drop":
+                    v.drop(arg)
+                else:
+                    v.merge(arg, stream.now_ms, stream.stale_ms)
+            assert entry_bits(view) == entry_bits(ref)
+        return view
+
+    def test_fuzzed_streams(self):
+        rejected = 0
+        for seed in range(400):
+            view = self.replay(_Stream(seed), 60)
+            rejected += view._frontier is not None
+        assert rejected > 100  # the frontier was in play in many streams
+
+    def test_moved_node_inside_the_frontier(self):
+        # node 2 ranks inside the frontier, then moves away; once its old
+        # entry leaves, the frontier is node 3's distance no longer, and
+        # node 5, past that old frontier, must enter
+        view = RankedView(1, 0.0, 0.0, 100.0, capacity=2)
+        ref = ReferenceRankedView(1, 0.0, 0.0, 100.0, capacity=2)
+        first = [item_at(2, 1000.0, 0.0, 10.0), item_at(3, 2000.0, 0.0, 10.0),
+                 item_at(4, 3000.0, 0.0, 10.0)]
+        second = [item_at(2, 5000.0, 0.0, 10.0, ts=2000), item_at(5, 2500.0, 0.0, 10.0, ts=2000)]
+        for v in (view, ref):
+            v.merge(first, now_ms=2000, stale_ms=10**9)
+        assert view._frontier == view.entries[3].key
+        for v in (view, ref):
+            v.merge(second, now_ms=2000, stale_ms=10**9)
+        assert sorted(view.entries) == [3, 5]
+        assert entry_bits(view) == entry_bits(ref)
+
+    def test_latitude_one_ulp_from_the_frontier(self):
+        # at latitude 59.91 one ulp of latitude is 0.0 m to the kernel but
+        # 7.9e-10 m along the meridian: without an absolute margin, the
+        # bound would pass the frontier at distance 0 and reject node 3
+        lat, lon = 59.91, 10.75
+        view = RankedView(1, lat, lon, 0.0, capacity=1)
+        ref = ReferenceRankedView(1, lat, lon, 0.0, capacity=1)
+        here = [replace(item_at(n, 0.0, 0.0, 0.0), latitude=lat, longitude=lon) for n in (9, 10)]
+        ulp = replace(item_at(3, 0.0, 0.0, 0.0), latitude=math.nextafter(lat, 90.0), longitude=lon)
+        assert float(distances_np(lat, lon, ulp.latitude, lon)) == 0.0
+        for v in (view, ref):
+            v.merge(here, now_ms=2000, stale_ms=10**9)
+        assert view._frontier == (-0.0, 0.0, 9)
+        for v in (view, ref):
+            v.merge([ulp], now_ms=2000, stale_ms=10**9)
+        assert sorted(view.entries) == [3]
+        assert entry_bits(view) == entry_bits(ref)

@@ -4,7 +4,7 @@ from ipaddress import IPv6Address
 from random import Random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from geogossip.geometry import GeoPoint, distance
@@ -400,3 +400,32 @@ class TestFormatProperties:
     def test_dump_load_dump_is_identical(self, sc):
         text = dumps(sc)
         assert dumps(loads(text)) == text
+
+    @settings(deadline=None)
+    @given(_scenarios(), st.integers(0, 3), st.sampled_from([0.25, 0.5, 1.0]))
+    def test_added_churn_replays_the_listed_schedule(self, sc, start, rate):
+        listed = {n.node_id for n in sc.nodes}
+        listed.update(ev.node.node_id if ev.op == "join" else ev.node_id for ev in sc.churn)
+        assume(max(listed) < (1 << 64) - 100)  # room for fresh ids
+        # building the result checks the merged schedule: no generated
+        # leave or join collides with a listed event, earlier or later
+        out = add_random_churn(sc, rounds=4, rate=rate, region=(1000.0, 1000.0),
+                               radius_law=10.0, start_round=start)
+        assert out.churn[:len(sc.churn)] == sc.churn
+        added = out.churn[len(sc.churn):]
+        assert all(ev.node.node_id > max(listed) for ev in added if ev.op == "join")
+        # each round adds as many joins as its rate of the population after
+        # the earlier rounds and this round's listed events; a checked
+        # schedule alternates the joins and leaves of each id, so toggling
+        # each event's id gives the live set whatever the order
+        def toggle(live, events):
+            for ev in events:
+                live ^= {ev.node.node_id if ev.op == "join" else ev.node_id}
+
+        live = {n.node_id for n in sc.nodes}
+        toggle(live, [ev for ev in sc.churn if ev.round < start])
+        for rnd in range(start, start + 4):
+            toggle(live, [ev for ev in sc.churn if ev.round == rnd])
+            joins = [ev for ev in added if ev.round == rnd and ev.op == "join"]
+            assert len(joins) == int(round(rate * len(live)))
+            toggle(live, [ev for ev in added if ev.round == rnd])

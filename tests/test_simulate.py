@@ -276,8 +276,13 @@ class TestCandidateLists:
                 pinned = node.ranked.candidate_ids()
                 items = node.random_view.items()
                 if items:
-                    scored = node.ranked.score(items)
-                    assert {e.item.node_id for e in scored if e.candidate} <= pinned
+                    spec = node.spec
+                    dists = distances_np(spec.latitude, spec.longitude,
+                                         np.array([it.latitude for it in items]),
+                                         np.array([it.longitude for it in items]))
+                    known = {it.node_id for it, d in zip(items, dists)
+                             if d < spec.radius + it.radius}
+                    assert known <= pinned
                 assert {item.node_id for item, _ in candidate_list(node.ranked)} == pinned
 
 

@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+from geogossip import spectrum
 from geogossip.spectrum import (
     HintState,
     InterferenceGraph,
@@ -110,7 +111,51 @@ class TestGreedyAssign:
             assert greedy <= 1.5 * optimum + 1e-9
 
 
+def sorted_sum(g, assignment):
+    """Conflict weight summed from scratch over the edges in sorted order."""
+    edges = sorted((a, b, w) for a, nbrs in g.adj.items() for b, w in nbrs.items() if a < b)
+    return sum(w for a, b, w in edges if assignment[a] == assignment[b])
+
+
+def reference_assign(g, k):
+    """greedy_assign with every conflict weight summed from scratch."""
+    order = sorted(g.vertices(), key=lambda n: (-g.weighted_degree(n), n))
+    assignment = {}
+    for node in order:
+        cost = [0.0] * k
+        for nbr, w in g.adj[node].items():
+            if nbr in assignment:
+                cost[assignment[nbr]] += w
+        assignment[node] = min(range(k), key=lambda c: (cost[c], c))
+    best = spectrum._sweep(g, assignment, k)
+    best_weight = sorted_sum(g, best)
+    rng = Random(0x5EED)
+    for _ in range(spectrum._RESTARTS):
+        if best_weight == 0.0:
+            break
+        candidate = spectrum._sweep(g, {n: rng.randrange(k) for n in g.vertices()}, k)
+        weight = sorted_sum(g, candidate)
+        if weight < best_weight:
+            best, best_weight = candidate, weight
+    return dict(sorted(best.items()))
+
+
 class TestConflictAccounting:
+    def test_sums_follow_the_sorted_edge_order(self):
+        # edges join in shuffled order, so adjacency order is not sorted order
+        rng = Random(7)
+        pairs = [(a, b) for a in range(300) for b in range(a + 1, 300) if rng.random() < 0.03]
+        rng.shuffle(pairs)
+        g = InterferenceGraph()
+        for v in range(300):
+            g.add_vertex(v)
+        for a, b in pairs:
+            g.add_edge(b, a, rng.uniform(0.1, 1e4))
+        assignment = greedy_assign(g, 3)
+        assert assignment == reference_assign(g, 3)
+        assert repr(conflict_weight(g, assignment)) == repr(sorted_sum(g, assignment))
+        assert conflict_weight(g, assignment) > 0.0
+
     def test_local_sums_to_twice_total(self):
         g = random_graph(Random(45))
         assignment = greedy_assign(g, 2)
