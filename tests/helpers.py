@@ -124,5 +124,6 @@ class ReferenceRankedView:
 
 
 def entry_bits(view) -> dict:
-    """A view's entries as {id: (key, item)}, floats compared by their bits."""
+    """A view's entries as {id: (key, candidate, item)}, the key by its
+    repr so that its floats compare bit for bit."""
     return {nid: (repr(e.key), e.candidate, e.item) for nid, e in view.entries.items()}

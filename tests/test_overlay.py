@@ -14,7 +14,6 @@ from geogossip.overlay import (
 )
 from geogossip.sampling import EmptyViewError, RandomView
 from geogossip.wire import DiscoveryItem
-
 from helpers import ReferenceRankedView, entry_bits
 
 DEG_M = EARTH_RADIUS_M * math.pi / 180.0
