@@ -1,6 +1,6 @@
 """Gossip-based geographic neighbor discovery with spectrum coordination hints."""
 
-from .geometry import CoordinationArea, GeoPoint, distance, is_candidate, overlap_area
+from .geometry import GeoPoint
 from .wire import (
     FRAME_LEN,
     DiscoveryItem,
@@ -31,14 +31,6 @@ from .simulate import (
     convergence_round,
 )
 from .spectrum import HintState, InterferenceGraph, build_graph, greedy_assign, qoe_step
-from .gateway import (
-    AgentRegistry,
-    CapacityExceededError,
-    CompositeId,
-    DuplicateLocalIdError,
-    NoEligibleDelegateError,
-    local_discover,
-    select_delegate,
-)
+from .gateway import NoEligibleDelegateError, select_delegate
 
 __version__ = "0.1.0"

@@ -57,9 +57,24 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _load(path: str):
+def _flag_error(args) -> str | None:
+    if args.rounds < 1:
+        return f"--rounds must be >= 1: {args.rounds}"
+    if not 0.0 < getattr(args, "threshold", 1.0) <= 1.0:
+        return f"--threshold must be in (0, 1]: {args.threshold}"
+    if getattr(args, "channels", 1) < 1:
+        return f"--channels must be >= 1: {args.channels}"
+    return None
+
+
+def _load(args):
     """(scenario, 0), or (None, exit code) once the reason is reported:
-    1 when the file cannot be read, 2 when its content is invalid."""
+    2 when a flag is out of range (checked first, so no simulation runs)
+    or the file's content is invalid, 1 when the file cannot be read."""
+    path = args.scenario
+    if error := _flag_error(args):
+        print(f"error: {error}", file=sys.stderr)
+        return None, 2
     try:
         return scn.load_scenario(path), 0
     except OSError as exc:
@@ -93,14 +108,14 @@ def _run_and_report(s, args, out_csv: str) -> int:
 
 
 def cmd_run(args) -> int:
-    s, rc = _load(args.scenario)
+    s, rc = _load(args)
     if s is None:
         return rc
     return _run_and_report(s, args, args.out)
 
 
 def cmd_churn_run(args) -> int:
-    s, rc = _load(args.scenario)
+    s, rc = _load(args)
     if s is None:
         return rc
     try:
@@ -113,7 +128,7 @@ def cmd_churn_run(args) -> int:
 
 
 def cmd_assign(args) -> int:
-    s, rc = _load(args.scenario)
+    s, rc = _load(args)
     if s is None:
         return rc
     if args.seed is not None:

@@ -1,4 +1,4 @@
-"""Geographic primitives: points, coordination areas, disk overlap.
+"""Geographic primitives: points, the distance kernel, disk overlap.
 
 Distances are great-circle on a sphere; overlap areas use the planar
 circle-circle lens formula with the great-circle center distance.  The
@@ -6,9 +6,8 @@ planar approximation is good to well under 0.1% for radii up to ~50 km,
 which covers every radio coordination area we simulate.
 
 distances_np is the one distance kernel: the overlay, its exchange
-buffers, the candidate lists, the oracle and the public helpers below all
-call it, so every candidacy decision and every utility comes from the
-same bits.
+buffers, the candidate lists and the oracle all call it, so every
+candidacy decision and every utility comes from the same bits.
 """
 
 import math
@@ -40,16 +39,6 @@ class GeoPoint:
             raise ValueError(f"longitude out of range: {self.longitude}")
 
 
-@dataclass(frozen=True)
-class CoordinationArea:
-    center: GeoPoint
-    radius: float  # meters
-
-    def __post_init__(self):
-        if not (math.isfinite(self.radius) and self.radius >= 0.0):
-            raise ValueError(f"radius must be finite and non-negative: {self.radius}")
-
-
 def distances_np(lat0: float, lon0: float, lats, lons):
     """Haversine distances in meters from one point to others (degrees in).
 
@@ -78,10 +67,6 @@ def meridian_arc_bound(lat0: float, lat: float) -> float:
     one made on the distance.
     """
     return abs(lat - lat0) * _ARC_M_PER_DEG - _ARC_ABS_M
-
-
-def distance(a: GeoPoint, b: GeoPoint) -> float:
-    return float(distances_np(a.latitude, a.longitude, b.latitude, b.longitude))
 
 
 def _segment(r: float, theta: float) -> float:
@@ -119,15 +104,3 @@ def overlap_area_f(d: float, r1: float, r2: float) -> float:
     x2 = (d * d + g * s) / (2.0 * d)
     return _segment(r1, math.atan2(h, x1)) + _segment(r2, math.atan2(h, x2))
 
-
-def overlap_area(a: CoordinationArea, b: CoordinationArea) -> float:
-    return overlap_area_f(distance(a.center, b.center), a.radius, b.radius)
-
-
-def is_candidate(a: CoordinationArea, b: CoordinationArea) -> bool:
-    """True iff the two coordination disks strictly overlap.
-
-    Tangent disks (center distance exactly r_a + r_b) do not count: a
-    measure-zero contact carries no interference.
-    """
-    return distance(a.center, b.center) < a.radius + b.radius

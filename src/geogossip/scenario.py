@@ -2,7 +2,9 @@
 
 A scenario is the full deterministic input to the simulator: node
 placement, protocol parameters, seed nodes, churn schedule, and the RNG
-seed.  The file format is line-oriented text (key = value header plus
+seed.  The records are frozen, and a Scenario holds its nodes, seeds and
+churn as tuples, so the checks made when one is built hold for as long as
+it lives.  The file format is line-oriented text (key = value header plus
 sectioned tables) so generated files are byte-identical for equal inputs.
 """
 
@@ -33,7 +35,7 @@ def address_for(node_id: int) -> IPv6Address:
     return IPv6Address(_ADDR_BASE | (node_id & ((1 << 64) - 1)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Params:
     c_rand: int = 30
     sample_half: int = 15
@@ -71,7 +73,7 @@ class Params:
         return self.stale_rounds * self.period_ms
 
 
-@dataclass
+@dataclass(frozen=True)
 class NodeSpec:
     node_id: int
     latitude: float
@@ -85,7 +87,7 @@ class NodeSpec:
         check_ranges(self.latitude, self.longitude, self.radius)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChurnEvent:
     round: int
     op: str  # "join" or "leave"
@@ -103,15 +105,19 @@ class ChurnEvent:
             raise ValueError(f"churn round must be >= 0: {self.round}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    nodes: list[NodeSpec]
-    seeds: list[int]
+    nodes: tuple[NodeSpec, ...]
+    seeds: tuple[int, ...]
     params: Params = field(default_factory=Params)
-    churn: list[ChurnEvent] = field(default_factory=list)
+    churn: tuple[ChurnEvent, ...] = ()
     rng_seed: int = 0
 
     def __post_init__(self):
+        # tuples, so that neither a later append nor the caller's own list
+        # can change what the checks below have passed
+        for name in ("nodes", "seeds", "churn"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         ids = [n.node_id for n in self.nodes]
         if len(ids) != len(set(ids)):
             raise ValueError("node ids must be unique")
@@ -155,6 +161,13 @@ def _radius_law(spec) -> tuple[float, float]:
 DEFAULT_ORIGIN = GeoPoint(59.91, 10.75)
 
 
+def _check_region(region: tuple[float, float]) -> tuple[float, float]:
+    width, height = region
+    if not (width > 0 and height > 0 and math.isfinite(width) and math.isfinite(height)):
+        raise InvalidRegionError(f"bad region: {region!r}")
+    return width, height
+
+
 def _to_geo(x: float, y: float, origin: GeoPoint) -> tuple[float, float]:
     lat = origin.latitude + y / METERS_PER_DEG_LAT
     if not -90.0 <= lat <= 90.0:
@@ -185,9 +198,7 @@ def generate_scenario(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    width, height = region
-    if not (width > 0 and height > 0 and math.isfinite(width) and math.isfinite(height)):
-        raise InvalidRegionError(f"bad region: {region!r}")
+    width, height = _check_region(region)
     lo, hi = _radius_law(radius_law)
     rng = Random(rng_seed)
     xs, ys, nodes = [], [], []
@@ -227,9 +238,11 @@ def add_random_churn(
     fresh ids start above every id the scenario names.  Seed nodes are
     never removed, so joiners always have a bootstrap point, and neither
     is a node that a later listed event names."""
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError(f"churn rate must be in [0, 1]: {rate}")
     rng = Random(scenario.rng_seed ^ 0xC4A12)
     lo, hi = _radius_law(radius_law)
-    width, height = region
+    width, height = _check_region(region)
     live = {n.node_id for n in scenario.nodes}
     protected = set(scenario.seeds)
     last_named: dict[int, int] = {}  # id -> the last round a listed event names it

@@ -15,7 +15,7 @@ import pytest
 
 from geogossip import simulate
 from geogossip.gateway import select_delegate
-from geogossip.geometry import EARTH_RADIUS_M, GeoPoint, distance, overlap_area_f
+from geogossip.geometry import EARTH_RADIUS_M, distances_np, overlap_area_f
 from geogossip.scenario import (
     Params,
     add_random_churn,
@@ -151,7 +151,7 @@ def test_05_oracle_equivalence(report):
 
 
 def test_06_geometry(report):
-    unit_d = distance(GeoPoint(0.0, 0.0), GeoPoint(1.0 / (EARTH_RADIUS_M * math.pi / 180.0), 0.0))
+    unit_d = float(distances_np(0.0, 0.0, 1.0 / (EARTH_RADIUS_M * math.pi / 180.0), 0.0))
     lens = overlap_area_f(unit_d, 1.0, 1.0)
     lens_ok = abs(lens - 1.22837) <= 1e-4
     rng = Random(0x6E0)
@@ -162,7 +162,7 @@ def test_06_geometry(report):
         r2 = rng.uniform(10.0, 1000.0)
         d = rng.uniform(0.0, (r1 + r2) * 1.1)
         lat2 = d / (EARTH_RADIUS_M * math.pi / 180.0)
-        exact_d = distance(GeoPoint(0.0, 0.0), GeoPoint(lat2, 0.0))
+        exact_d = float(distances_np(0.0, 0.0, lat2, 0.0))
         got = overlap_area_f(exact_d, r1, r2)
         estimate, stderr = mc_overlap_area(r1, r2, exact_d, samples=10_000_000, seed=i)
         sigma = abs(got - estimate) / stderr if stderr > 0 else 0.0

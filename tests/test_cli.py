@@ -103,17 +103,30 @@ def test_invalid_scenario_exits_2(command, text, tmp_path, capsys):
     assert "invalid scenario" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["run", "--threshold", "1.5"], ["run", "--threshold", "nan"], ["run", "--rounds", "-3"],
+    ["churn-run", "--threshold", "0"], ["assign", "--channels", "0"], ["assign", "--rounds", "0"],
+], ids=["threshold-over-one", "threshold-nan", "negative-rounds", "churn-run-threshold-zero",
+        "zero-channels", "zero-rounds"])
+def test_out_of_range_flag_exits_2_before_any_run(args, demo_path, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    rc = main([args[0], demo_path, "--out", str(out)] + args[1:])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {args[-2]} must be")
+    assert not out.exists()
+
+
 class TestChurnRun:
-    @pytest.mark.parametrize("churn, radius", [
-        ([], "-5"),
-    ], ids=["negative-radius"])
-    def test_schedule_that_cannot_be_added_exits_2(self, churn, radius, tmp_path, capsys):
-        path = tmp_path / "scn.txt"
-        save_scenario(replace(four_node_demo(), churn=churn), path)
-        rc = main(["churn-run", str(path), "--rounds", "2", "--rate", "0.25",
-                   "--radius", radius, "--out", str(tmp_path / "m.csv")])
+    @pytest.mark.parametrize("flags", [
+        ["--radius", "-5"], ["--rate", "-0.5"], ["--rate", "1.5"], ["--region", "0x1000"],
+    ], ids=["negative-radius", "negative-rate", "rate-over-one", "zero-width-region"])
+    def test_schedule_that_cannot_be_added_exits_2(self, flags, demo_path, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        rc = main(["churn-run", demo_path, "--rounds", "2", "--rate", "0.25", "--radius", "100",
+                   "--out", str(out)] + flags)
         assert rc == 2
         assert "cannot add churn" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_generated_joiners_skip_the_files_ids(self, tmp_path, capsys):
         # the file joins id 5 at round 0; the generated joiners take 6 on

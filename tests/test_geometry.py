@@ -8,28 +8,28 @@ from hypothesis import strategies as st
 
 from geogossip.geometry import (
     EARTH_RADIUS_M,
-    CoordinationArea,
     GeoPoint,
-    distance,
     distances_np,
-    is_candidate,
     meridian_arc_bound,
-    overlap_area,
     overlap_area_f,
 )
-from geogossip.scenario import generate_scenario
+from geogossip.scenario import NodeSpec, generate_scenario
+from geogossip.simulate import LatitudeIndex
 from helpers import mc_overlap_area
 
 DEG_M = EARTH_RADIUS_M * math.pi / 180.0  # meters per degree along a meridian
 
 
-def area(lat, lon, r):
-    return CoordinationArea(GeoPoint(lat, lon), r)
-
-
 def random_point(rng):
+    """(latitude, longitude) anywhere on the sphere."""
     lon = rng.uniform(-180.0, 180.0)
-    return GeoPoint(rng.uniform(-90.0, 90.0), -180.0 if lon >= 180.0 else lon)
+    return rng.uniform(-90.0, 90.0), -180.0 if lon >= 180.0 else lon
+
+
+def random_disk_near(rng, lat, lon, spread, r_lo, r_hi):
+    """(latitude, longitude, radius) within spread degrees of (lat, lon)."""
+    return (lat + rng.uniform(-spread, spread), lon + rng.uniform(-spread, spread),
+            rng.uniform(r_lo, r_hi))
 
 
 class TestDistance:
@@ -37,29 +37,29 @@ class TestDistance:
         rng = Random(1)
         for _ in range(50):
             p = random_point(rng)
-            assert distance(p, p) == 0.0
+            assert distances_np(*p, *p) == 0.0
 
     def test_one_degree_longitude_at_equator(self):
-        d = distance(GeoPoint(0.0, 0.0), GeoPoint(0.0, 1.0))
+        d = distances_np(0.0, 0.0, 0.0, 1.0)
         assert d == pytest.approx(111_195.0, abs=1.0)
 
     def test_antipodal_poles(self):
-        d = distance(GeoPoint(90.0, 0.0), GeoPoint(-90.0, 0.0))
+        d = distances_np(90.0, 0.0, -90.0, 0.0)
         assert d == pytest.approx(math.pi * EARTH_RADIUS_M, abs=1.0)
 
     def test_symmetric_and_nonnegative(self):
         rng = Random(2)
         for _ in range(500):
             a, b = random_point(rng), random_point(rng)
-            d = distance(a, b)
+            d = distances_np(*a, *b)
             assert d >= 0.0
-            assert distance(b, a) == d
+            assert distances_np(*b, *a) == d
 
     def test_triangle_inequality(self):
         rng = Random(3)
         for _ in range(10_000):
             a, b, c = (random_point(rng) for _ in range(3))
-            ab, bc, ac = distance(a, b), distance(b, c), distance(a, c)
+            ab, bc, ac = distances_np(*a, *b), distances_np(*b, *c), distances_np(*a, *c)
             assert ac <= ab + bc + 1e-6 * max(ab + bc, 1.0)
 
 
@@ -88,15 +88,16 @@ class TestKernel:
                                     lats[j:j + 1], lons[j:j + 1])[0] == rows[i, j]
 
     def test_public_helpers_use_the_kernel(self):
+        # the oracle decides candidacy on the kernel's bits, with either
+        # node as the owner
         rng = Random(9)
         for _ in range(1000):
             a, b = random_point(rng), random_point(rng)
             ra, rb = rng.uniform(0, 5e6), rng.uniform(0, 5e6)
-            d = distances_np(a.latitude, a.longitude,
-                             np.array([b.latitude]), np.array([b.longitude]))[0]
-            assert distance(a, b) == d
-            assert is_candidate(area(a.latitude, a.longitude, ra),
-                                area(b.latitude, b.longitude, rb)) == (d < ra + rb)
+            d = distances_np(a[0], a[1], np.array([b[0]]), np.array([b[1]]))[0]
+            assert distances_np(*a, *b) == d
+            oracle = LatitudeIndex([NodeSpec(1, *a, ra), NodeSpec(2, *b, rb)]).candidates
+            assert oracle == ({1: {2}, 2: {1}} if d < ra + rb else {1: set(), 2: set()})
 
 
 _LATS = st.one_of(st.floats(-90.0, 90.0), st.sampled_from([-90.0, -89.9999, 0.0, 59.91, 89.9999, 90.0]))
@@ -138,27 +139,21 @@ class TestValidation:
             GeoPoint(0.0, 180.0)
         GeoPoint(0.0, -180.0)
 
-    def test_negative_radius(self):
-        with pytest.raises(ValueError):
-            CoordinationArea(GeoPoint(0.0, 0.0), -1.0)
-
 
 class TestOverlapArea:
     def test_identical_disks(self):
-        a = area(10.0, 20.0, 500.0)
-        assert overlap_area(a, a) == pytest.approx(math.pi * 500.0**2, rel=1e-12)
+        d = distances_np(10.0, 20.0, 10.0, 20.0)
+        assert overlap_area_f(d, 500.0, 500.0) == pytest.approx(math.pi * 500.0**2, rel=1e-12)
 
     def test_disjoint(self):
-        a = area(0.0, 0.0, 100.0)
-        b = area(0.0, 1.0, 100.0)  # ~111 km apart
-        assert overlap_area(a, b) == 0.0
+        d = distances_np(0.0, 0.0, 0.0, 1.0)  # ~111 km apart
+        assert overlap_area_f(d, 100.0, 100.0) == 0.0
 
     def test_unit_disks_at_unit_distance(self):
         # r1 = r2 = 1 m, centers 1 m apart: 2*acos(1/2) - sqrt(3)/2
-        a = area(0.0, 0.0, 1.0)
-        b = area(1.0 / DEG_M, 0.0, 1.0)
+        d = distances_np(0.0, 0.0, 1.0 / DEG_M, 0.0)
         expected = 2.0 * math.acos(0.5) - math.sqrt(3.0) / 2.0
-        assert overlap_area(a, b) == pytest.approx(expected, abs=1e-4)
+        assert overlap_area_f(d, 1.0, 1.0) == pytest.approx(expected, abs=1e-4)
 
     def test_matches_monte_carlo(self):
         rng = Random(4)
@@ -166,36 +161,28 @@ class TestOverlapArea:
             r1 = rng.uniform(50.0, 500.0)
             r2 = rng.uniform(50.0, 500.0)
             gap = rng.uniform(0.0, (r1 + r2) * 1.2)
-            a = area(40.0, 8.0, r1)
-            b = area(40.0, 8.0 + gap / (DEG_M * math.cos(math.radians(40.0))), r2)
-            d = distance(a.center, b.center)
+            d = distances_np(40.0, 8.0, 40.0, 8.0 + gap / (DEG_M * math.cos(math.radians(40.0))))
             estimate, stderr = mc_overlap_area(r1, r2, d, samples=1_000_000, seed=seed)
-            assert overlap_area(a, b) == pytest.approx(estimate, abs=max(3.0 * stderr, 1e-9))
+            assert overlap_area_f(d, r1, r2) == pytest.approx(estimate, abs=max(3.0 * stderr, 1e-9))
 
     def test_exactly_symmetric(self):
         rng = Random(5)
         for _ in range(200):
-            a = area(rng.uniform(-60, 60), rng.uniform(-60, 60), rng.uniform(0, 2000))
-            b = area(
-                a.center.latitude + rng.uniform(-0.02, 0.02),
-                a.center.longitude + rng.uniform(-0.02, 0.02),
-                rng.uniform(0, 2000),
-            )
-            assert overlap_area(a, b) == overlap_area(b, a)
+            lat_a, lon_a, ra = rng.uniform(-60, 60), rng.uniform(-60, 60), rng.uniform(0, 2000)
+            lat_b, lon_b, rb = random_disk_near(rng, lat_a, lon_a, 0.02, 0, 2000)
+            ab = overlap_area_f(distances_np(lat_a, lon_a, lat_b, lon_b), ra, rb)
+            assert overlap_area_f(distances_np(lat_b, lon_b, lat_a, lon_a), rb, ra) == ab
 
     def test_bounded_by_smaller_disk(self):
         rng = Random(6)
         for _ in range(500):
-            a = area(rng.uniform(-60, 60), rng.uniform(-60, 60), rng.uniform(1, 2000))
-            b = area(
-                a.center.latitude + rng.uniform(-0.05, 0.05),
-                a.center.longitude + rng.uniform(-0.05, 0.05),
-                rng.uniform(1, 2000),
-            )
-            bound = math.pi * min(a.radius, b.radius) ** 2
-            got = overlap_area(a, b)
+            lat_a, lon_a, ra = rng.uniform(-60, 60), rng.uniform(-60, 60), rng.uniform(1, 2000)
+            lat_b, lon_b, rb = random_disk_near(rng, lat_a, lon_a, 0.05, 1, 2000)
+            d = distances_np(lat_a, lon_a, lat_b, lon_b)
+            bound = math.pi * min(ra, rb) ** 2
+            got = overlap_area_f(d, ra, rb)
             assert got <= bound * (1.0 + 1e-12)
-            contained = distance(a.center, b.center) <= abs(a.radius - b.radius)
+            contained = d <= abs(ra - rb)
             assert (got == pytest.approx(bound, rel=1e-12)) == contained
 
 
@@ -239,30 +226,15 @@ class TestLensArea:
 
 class TestIsCandidate:
     def test_tangent_disks_excluded(self):
-        a = area(0.0, 0.0, 100.0)
-        d = distance(a.center, GeoPoint(0.0, 0.002))
-        b = CoordinationArea(GeoPoint(0.0, 0.002), d - 100.0)
-        assert not is_candidate(a, b)
-
-    def test_agrees_with_distance_sign(self):
-        rng = Random(7)
-        for _ in range(100_000):
-            a = area(rng.uniform(-60, 60), rng.uniform(-60, 60), rng.uniform(0, 1500))
-            b = area(
-                a.center.latitude + rng.uniform(-0.05, 0.05),
-                a.center.longitude + rng.uniform(-0.05, 0.05),
-                rng.uniform(0, 1500),
-            )
-            sign = distance(a.center, b.center) < a.radius + b.radius
-            assert is_candidate(a, b) == sign
+        # center distance exactly r_a + r_b: a measure-zero contact, no candidacy
+        d = distances_np(0.0, 0.0, 0.0, 0.002)
+        oracle = LatitudeIndex([NodeSpec(1, 0.0, 0.0, 100.0), NodeSpec(2, 0.0, 0.002, d - 100.0)])
+        assert oracle.candidates == {1: set(), 2: set()}
 
     def test_candidacy_matches_positive_overlap(self):
         rng = Random(8)
         for _ in range(2000):
-            a = area(rng.uniform(-60, 60), rng.uniform(-60, 60), rng.uniform(1, 1500))
-            b = area(
-                a.center.latitude + rng.uniform(-0.03, 0.03),
-                a.center.longitude + rng.uniform(-0.03, 0.03),
-                rng.uniform(1, 1500),
-            )
-            assert is_candidate(a, b) == (overlap_area(a, b) > 0.0)
+            lat_a, lon_a, ra = rng.uniform(-60, 60), rng.uniform(-60, 60), rng.uniform(1, 1500)
+            lat_b, lon_b, rb = random_disk_near(rng, lat_a, lon_a, 0.03, 1, 1500)
+            d = distances_np(lat_a, lon_a, lat_b, lon_b)
+            assert (d < ra + rb) == (overlap_area_f(d, ra, rb) > 0.0)

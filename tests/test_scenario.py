@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import FrozenInstanceError, fields, replace
 from ipaddress import IPv6Address
 from random import Random
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from geogossip.geometry import GeoPoint, distance
+from geogossip.geometry import GeoPoint, distances_np
 from geogossip.scenario import (
     METERS_PER_DEG_LAT,
     PARTNER_STRATEGIES,
@@ -119,6 +120,40 @@ class TestValidation:
         assert address_for(1) != address_for(2)
 
 
+class TestFrozenRecords:
+    """A record keeps the values its checks passed for as long as it lives."""
+
+    @pytest.mark.parametrize("record", [
+        Params(),
+        NodeSpec(1, 0.0, 0.0, 10.0),
+        ChurnEvent(1, "leave", node_id=1),
+        four_node_demo(),
+    ], ids=["Params", "NodeSpec", "ChurnEvent", "Scenario"])
+    def test_no_field_can_be_assigned(self, record):
+        for f in fields(record):
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, f.name, getattr(record, f.name))
+
+    def test_the_callers_lists_are_copied(self):
+        nodes = [NodeSpec(1, 0.0, 0.0, 10.0)]
+        seeds = [1]
+        churn = [ChurnEvent(1, "leave", node_id=1)]
+        sc = Scenario(nodes=nodes, seeds=seeds, churn=churn)
+        nodes.append(NodeSpec(1, 1.0, 1.0, 10.0))
+        seeds.append(2)
+        churn.append(ChurnEvent(2, "leave", node_id=1))
+        assert sc.nodes == (NodeSpec(1, 0.0, 0.0, 10.0),)
+        assert sc.seeds == (1,)
+        assert sc.churn == (ChurnEvent(1, "leave", node_id=1),)
+
+    def test_replace_checks_the_schedule_again(self):
+        sc = four_node_demo()
+        with pytest.raises(ValueError):
+            replace(sc, churn=(ChurnEvent(1, "leave", node_id=42),))
+        with pytest.raises(ValueError):
+            replace(sc, churn=[ChurnEvent(0, "join", node=sc.nodes[0])])
+
+
 class TestGeneration:
     def test_count_ids_and_seed(self):
         sc = generate_scenario(50, region=(1000.0, 1000.0), radius_law=100.0, rng_seed=7)
@@ -198,7 +233,7 @@ class TestQuartetScenario:
 
         def overlaps(a, b):
             na, nb = by_id[a], by_id[b]
-            d = distance(GeoPoint(na.latitude, na.longitude), GeoPoint(nb.latitude, nb.longitude))
+            d = distances_np(na.latitude, na.longitude, nb.latitude, nb.longitude)
             return d < na.radius + nb.radius
 
         # the big-disk node 4 overlaps everyone; 3 overlaps only 4;
@@ -238,6 +273,15 @@ class TestChurnSchedule:
                                     region=(1000.0, 1000.0), radius_law=10.0)
 
         assert build() == build()
+
+    @pytest.mark.parametrize("rate, region", [
+        (-0.5, (1000.0, 1000.0)), (1.5, (1000.0, 1000.0)),
+        (0.1, (0.0, 1000.0)), (0.1, (1000.0, -1.0)),
+    ], ids=["negative-rate", "rate-over-one", "zero-width", "negative-height"])
+    def test_bad_rate_or_region_rejected(self, rate, region):
+        sc = generate_scenario(20, region=(1000.0, 1000.0), radius_law=10.0, rng_seed=2)
+        with pytest.raises(ValueError):
+            add_random_churn(sc, rounds=5, rate=rate, region=region, radius_law=10.0)
 
 
 _ONE_NODE = "[nodes]\n1 0.0 0.0 5.0\n\n[seeds]\n1\n\n"

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 from ipaddress import IPv6Address
 from random import Random
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geogossip.geometry import CoordinationArea, GeoPoint, distances_np, is_candidate
+from geogossip.geometry import GeoPoint, distances_np
 from geogossip.overlay import candidate_list
 from geogossip.scenario import (
     METERS_PER_DEG_LAT,
@@ -50,7 +51,7 @@ class TestGroundTruth:
         assert gt[4] == {1, 2, 3}
 
     def test_vectorized_path_matches_scalar_predicate(self):
-        # the band scan over arrays must agree with the public predicate,
+        # the band scan over arrays must agree with the kernel's predicate,
         # evaluated one pair at a time
         sc = generate_scenario(600, region=(6000.0, 6000.0), radius_law=(50.0, 400.0), rng_seed=2)
         gt = LatitudeIndex(sc.nodes).candidates
@@ -62,9 +63,8 @@ class TestGroundTruth:
             if a == b:
                 continue
             sa, sb = by_id[a], by_id[b]
-            expect = is_candidate(CoordinationArea(GeoPoint(sa.latitude, sa.longitude), sa.radius),
-                                  CoordinationArea(GeoPoint(sb.latitude, sb.longitude), sb.radius))
-            assert (b in gt[a]) == expect
+            d = distances_np(sa.latitude, sa.longitude, sb.latitude, sb.longitude)
+            assert (b in gt[a]) == (d < sa.radius + sb.radius)
 
     def test_mean_degree_matches_geometry(self):
         # For uniform placement in an L x L box with equal disks of radius
@@ -84,11 +84,10 @@ class TestGroundTruth:
         assert mean == pytest.approx(expected, rel=0.05)
 
     def test_live_specs_follow_churn(self):
-        sc = four_node_demo()
-        sc.churn.extend([
+        sc = replace(four_node_demo(), churn=(
             ChurnEvent(2, "leave", node_id=3),
             ChurnEvent(4, "join", node=NodeSpec(9, 59.91, 10.75, 50.0)),
-        ])
+        ))
         sim = Simulation(sc)
         live = {}
         for _ in range(5):
@@ -288,8 +287,8 @@ class TestCandidateLists:
 
 class TestDelegation:
     def test_delegated_node_emits_the_delegate_endpoint(self):
-        sc = four_node_demo()
-        sc.churn.append(ChurnEvent(2, "join", node=NodeSpec(9, 59.91, 10.75, 50.0)))
+        sc = replace(four_node_demo(),
+                     churn=(ChurnEvent(2, "join", node=NodeSpec(9, 59.91, 10.75, 50.0)),))
         sim = Simulation(sc, delegates={1: 2, 3: 9})
         assert sim.nodes[1].own_item(0).address == address_for(2)
         assert sim.nodes[3].own_item(0).address == address_for(9)
@@ -310,7 +309,7 @@ class TestChurnHandling:
     def test_join_gets_discovered(self):
         sc = small_scenario()
         joiner = NodeSpec(9001, sc.nodes[0].latitude, sc.nodes[0].longitude, 400.0)
-        sc.churn.append(ChurnEvent(10, "join", node=joiner))
+        sc = replace(sc, churn=sc.churn + (ChurnEvent(10, "join", node=joiner),))
         sim = Simulation(sc)
         sim.run(20)
         gt = sim.candidate_lists()[9001]
@@ -320,7 +319,7 @@ class TestChurnHandling:
     def test_leaver_eventually_forgotten(self):
         sc = small_scenario()
         victim = next(nid for nid in (n.node_id for n in sc.nodes) if nid not in sc.seeds)
-        sc.churn.append(ChurnEvent(10, "leave", node_id=victim))
+        sc = replace(sc, churn=sc.churn + (ChurnEvent(10, "leave", node_id=victim),))
         sim = Simulation(sc)
         sim.run(40)
         for nid, entries in sim.candidate_lists().items():
@@ -329,8 +328,8 @@ class TestChurnHandling:
     def test_seed_death_does_not_strand_joiners(self):
         sc = small_scenario()
         joiner = NodeSpec(9001, sc.nodes[0].latitude, sc.nodes[0].longitude, 300.0)
-        sc.churn.append(ChurnEvent(5, "leave", node_id=sc.seeds[0]))
-        sc.churn.append(ChurnEvent(6, "join", node=joiner))
+        sc = replace(sc, churn=sc.churn + (ChurnEvent(5, "leave", node_id=sc.seeds[0]),
+                                           ChurnEvent(6, "join", node=joiner)))
         sim = Simulation(sc)
         sim.run(20)
         found = {item.node_id for item, _ in sim.candidate_lists()[9001]}
@@ -377,11 +376,12 @@ class TestScheduleProperties:
         try:
             sc = Scenario(nodes=nodes, seeds=seeds, churn=churn, rng_seed=seed)
         except ValueError:
-            # past the check, the engine's own guards stop the same schedule
-            sc = Scenario(nodes=nodes, seeds=seeds, rng_seed=seed)
-            sc.churn.extend(churn)
+            # fed round by round in the engine's order, the engine's own
+            # guards stop the same schedule
+            sim = Simulation(Scenario(nodes=nodes, seeds=seeds, rng_seed=seed))
             with pytest.raises((ValueError, UnknownNodeError)):
-                Simulation(sc).run(6)
+                for r in range(6):
+                    sim.apply_churn([ev for ev in churn if ev.round == r], now_ms=0)
             return
         sim = Simulation(sc)
         for _ in range(max((ev.round for ev in churn), default=0) + 1):
