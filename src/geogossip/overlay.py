@@ -9,8 +9,9 @@ by the capacity cut, only by staleness.
 Overlap area alone has no gradient outside the overlap horizon, so the
 ranking falls back to center distance for zero-utility entries; that
 gradient is what lets a node walk toward its own neighborhood from a
-distant starting point.  A few far links (random distant peers) keep
-the overlay connected and speed up discovery for joiners.
+distant starting point.  Far links keep the overlay connected and speed
+up discovery for joiners: a far link is a random entry of the node's
+random view, so the peer-sampling layer is their one source.
 """
 
 from dataclasses import dataclass, field
@@ -175,21 +176,22 @@ class RankedView:
                 self._min_ts = ts
 
 
-def select_target(view: RankedView, far: list[DiscoveryItem],
+def select_target(view: RankedView, random_view: RandomView,
                   recent: set[int], rng: Random, p_far: float,
                   now_ms: int, stale_ms: int) -> int:
-    """Pick the next exchange target: with probability p_far a random far
-    link, otherwise a stale candidate in need of a liveness probe,
-    otherwise the most relevant entry not contacted recently.
+    """Pick the next exchange target: with probability p_far a far link,
+    a random entry of the random view; otherwise a stale candidate in need
+    of a liveness probe, otherwise the most relevant entry not contacted
+    recently, otherwise a far link.
 
     The probe keeps pinned candidates honest: contacting a live one
     refreshes its descriptor, contacting a dead one removes it via
     failed-contact detection.  Without it, descriptors of dead candidates
     would linger forever and crowd exchange buffers.
     """
-    far_ids = sorted({i.node_id for i in far} - {view.owner_id})
-    if far_ids and rng.random() < p_far:
-        return rng.choice(far_ids)
+    far = random_view.entries
+    if far and rng.random() < p_far:
+        return rng.choice(sorted(far))
     cutoff = now_ms - stale_ms
     stale = [
         e for nid, e in view.entries.items()
@@ -206,8 +208,8 @@ def select_target(view: RankedView, far: list[DiscoveryItem],
             best = entry
     if best is not None:
         return best.item.node_id
-    if far_ids:
-        return rng.choice(far_ids)
+    if far:
+        return rng.choice(sorted(far))
     if view.entries:
         return rng.choice(sorted(view.entries))
     raise EmptyViewError(f"node {view.owner_id} has no overlay target")

@@ -99,13 +99,11 @@ class RandomView:
             self.entries = {d.item.node_id: d for d in ranked[: self.capacity]}
 
 
-def sample_partner(view: RandomView, rng: Random, strategy: str = "oldest") -> int:
-    """Pick the exchange partner: oldest-age (healer-biased, the default)
-    or uniform.  Age ties are broken uniformly at random."""
+def sample_partner(view: RandomView, rng: Random) -> int:
+    """Pick the exchange partner: the oldest entry (healer-biased).  Age
+    ties are broken uniformly at random."""
     if not view.entries:
         raise EmptyViewError(f"node {view.owner_id} has an empty random view")
-    if strategy == "uniform":
-        return rng.choice(sorted(view.entries))
     max_age = max(d.age for d in view.entries.values())
     oldest = sorted(nid for nid, d in view.entries.items() if d.age == max_age)
     return rng.choice(oldest)

@@ -9,7 +9,7 @@ sectioned tables) so generated files are byte-identical for equal inputs.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from ipaddress import IPv6Address
 from random import Random
 
@@ -27,9 +27,6 @@ class ScenarioFormatError(ValueError):
     """Scenario file could not be parsed, or holds out-of-range values."""
 
 
-PARTNER_STRATEGIES = ("oldest", "uniform")
-
-
 def address_for(node_id: int) -> IPv6Address:
     """Deterministic synthetic endpoint for a simulated node."""
     return IPv6Address(_ADDR_BASE | (node_id & ((1 << 64) - 1)))
@@ -40,26 +37,22 @@ class Params:
     c_rand: int = 30
     sample_half: int = 15
     c_rank: int = 20
-    c_far: int = 3
     p_far: float = 0.1
     recent_rounds: int = 5
     period_seconds: float = 15.0
     stale_rounds: int = 10
-    partner_strategy: str = "oldest"
 
     def __post_init__(self):
         for name in ("c_rand", "c_rank"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1: {getattr(self, name)}")
-        for name in ("c_far", "recent_rounds", "stale_rounds"):
+        for name in ("recent_rounds", "stale_rounds"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0: {getattr(self, name)}")
         if not 0 <= self.sample_half <= self.c_rand:
             raise ValueError(f"sample_half must be in [0, c_rand]: {self.sample_half}")
         if not 0.0 <= self.p_far <= 1.0:
             raise ValueError(f"p_far must be in [0, 1]: {self.p_far}")
-        if self.partner_strategy not in PARTNER_STRATEGIES:
-            raise ValueError(f"unknown partner_strategy: {self.partner_strategy!r}")
         # the milliseconds too must be finite, or period_ms cannot round them
         if not (math.isfinite(self.period_seconds * 1000) and self.period_ms >= 1):
             raise ValueError(f"period must be positive: {self.period_seconds}")
@@ -183,6 +176,17 @@ def _to_geo(x: float, y: float, origin: GeoPoint) -> tuple[float, float]:
     return lat, lon
 
 
+def _place(rng: Random, node_id: int, width: float, height: float,
+           lo: float, hi: float, origin: GeoPoint) -> tuple[float, float, NodeSpec]:
+    """One node placed uniformly in the box: x, y and the radius are drawn
+    in that order.  Returns the box coordinates and the node."""
+    x = rng.uniform(0.0, width)
+    y = rng.uniform(0.0, height)
+    r = lo if lo == hi else rng.uniform(lo, hi)
+    lat, lon = _to_geo(x, y, origin)
+    return x, y, NodeSpec(node_id, lat, lon, r)
+
+
 def generate_scenario(
     n: int,
     region: tuple[float, float],
@@ -203,11 +207,8 @@ def generate_scenario(
     rng = Random(rng_seed)
     xs, ys, nodes = [], [], []
     for i in range(n):
-        x = rng.uniform(0.0, width)
-        y = rng.uniform(0.0, height)
-        r = lo if lo == hi else rng.uniform(lo, hi)
-        lat, lon = _to_geo(x, y, origin)
-        nodes.append(NodeSpec(i + 1, lat, lon, r))
+        x, y, spec = _place(rng, i + 1, width, height, lo, hi, origin)
+        nodes.append(spec)
         xs.append(x)
         ys.append(y)
     cx = sum(xs) / n
@@ -228,7 +229,6 @@ def add_random_churn(
     region: tuple[float, float],
     radius_law,
     origin: GeoPoint = DEFAULT_ORIGIN,
-    start_round: int = 0,
 ) -> Scenario:
     """Append a join+leave schedule: each round, `rate` fraction of the
     current population joins (fresh ids) and the same count leaves.
@@ -250,16 +250,13 @@ def add_random_churn(
         nid = _event_id(ev)
         last_named[nid] = max(ev.round, last_named.get(nid, ev.round))
     next_id = max(live | set(last_named), default=0) + 1
-    _replay(live, [ev for ev in scenario.churn if ev.round < start_round])
     events = list(scenario.churn)
-    for r in range(start_round, start_round + rounds):
+    for r in range(rounds):
         _replay(live, [ev for ev in scenario.churn if ev.round == r])
         count = int(round(rate * len(live)))
         for _ in range(count):
-            x, y = rng.uniform(0.0, width), rng.uniform(0.0, height)
-            radius = lo if lo == hi else rng.uniform(lo, hi)
-            lat, lon = _to_geo(x, y, origin)
-            events.append(ChurnEvent(r, "join", node=NodeSpec(next_id, lat, lon, radius)))
+            _, _, spec = _place(rng, next_id, width, height, lo, hi, origin)
+            events.append(ChurnEvent(r, "join", node=spec))
             live.add(next_id)
             next_id += 1
         removable = sorted(nid for nid in live - protected if last_named.get(nid, r) <= r)
@@ -297,24 +294,14 @@ def four_node_demo(params: Params | None = None, rng_seed: int = 1) -> Scenario:
 
 # --- scenario file round trip ------------------------------------------------
 
-_PARAM_FIELDS = (
-    ("c_rand", int),
-    ("sample_half", int),
-    ("c_rank", int),
-    ("c_far", int),
-    ("p_far", float),
-    ("recent_rounds", int),
-    ("period_seconds", float),
-    ("stale_rounds", int),
-    ("partner_strategy", str),
-)
+# the header keys, in file order, and the type that parses each value
+_PARAM_FIELDS = tuple((f.name, f.type) for f in fields(Params))
 
 
 def dumps(s: Scenario) -> str:
     lines = ["# geogossip scenario v1", f"rng_seed = {s.rng_seed}"]
     for name, _ in _PARAM_FIELDS:
-        value = getattr(s.params, name)
-        lines.append(f"{name} = {value if isinstance(value, str) else repr(value)}")
+        lines.append(f"{name} = {getattr(s.params, name)!r}")
     lines.append("")
     lines.append("[nodes]")
     lines.append("# id latitude longitude radius_m")
@@ -349,33 +336,36 @@ def loads(text: str) -> Scenario:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1]
-            continue
         try:
-            if section is None:
+            if line.startswith("[") and line.endswith("]"):
+                section = line[1:-1]
+                if section not in ("nodes", "seeds", "churn"):
+                    raise ValueError(f"unknown section {section!r}")
+            elif section is None:
                 key, sep, value = line.partition("=")
                 if not sep:
                     raise ValueError(f"expected 'key = value', got {line!r}")
-                header[key.strip()] = value.strip()
+                key = key.strip()
+                if key in header:
+                    raise ValueError(f"header key {key!r} given twice")
+                header[key] = value.strip()
             elif section == "nodes":
                 nid, lat, lon, r = line.split()
                 nodes.append(NodeSpec(int(nid), float(lat), float(lon), float(r)))
             elif section == "seeds":
                 seeds.append(int(line))
-            elif section == "churn":
-                parts = line.split()
-                rnd, op = int(parts[0]), parts[1]
+            else:
+                rnd, op, *rest = line.split()
                 if op == "join":
-                    churn.append(ChurnEvent(rnd, "join", node=NodeSpec(
-                        int(parts[2]), float(parts[3]), float(parts[4]), float(parts[5]))))
+                    nid, lat, lon, r = rest
+                    churn.append(ChurnEvent(int(rnd), "join", node=NodeSpec(
+                        int(nid), float(lat), float(lon), float(r))))
                 elif op == "leave":
-                    churn.append(ChurnEvent(rnd, "leave", node_id=int(parts[2])))
+                    (nid,) = rest
+                    churn.append(ChurnEvent(int(rnd), "leave", node_id=int(nid)))
                 else:
                     raise ValueError(f"unknown churn op {op!r}")
-            else:
-                raise ValueError(f"unknown section {section!r}")
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise ScenarioFormatError(f"line {lineno}: {exc}") from exc
     try:
         params = Params(**{name: conv(header.pop(name)) for name, conv in _PARAM_FIELDS

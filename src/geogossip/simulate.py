@@ -148,7 +148,7 @@ class LatitudeIndex:
 
 
 class _Node:
-    __slots__ = ("spec", "address", "random_view", "ranked", "far", "recent",
+    __slots__ = ("spec", "address", "random_view", "ranked", "recent",
                  "join_round", "_own")
 
     def __init__(self, spec: NodeSpec, params: Params, address, join_round: int):
@@ -159,7 +159,6 @@ class _Node:
         self.ranked = RankedView(
             spec.node_id, spec.latitude, spec.longitude, spec.radius, params.c_rank
         )
-        self.far: list[DiscoveryItem] = []
         self.recent: deque[int] = deque(maxlen=params.recent_rounds)
         self._own: DiscoveryItem | None = None
 
@@ -257,7 +256,6 @@ class Simulation:
     def _forget(self, node: _Node, dead_id: int):
         node.random_view.drop(dead_id)
         node.ranked.drop(dead_id)
-        node.far = [i for i in node.far if i.node_id != dead_id]
 
     # -- exchanges ----------------------------------------------------------
 
@@ -268,7 +266,7 @@ class Simulation:
     def _sampling_exchange(self, node: _Node, now_ms: int):
         if not node.random_view.entries:
             return
-        partner_id = sample_partner(node.random_view, self.rng, self.params.partner_strategy)
+        partner_id = sample_partner(node.random_view, self.rng)
         partner = self.nodes.get(partner_id)
         if partner is None:
             self._forget(node, partner_id)
@@ -297,7 +295,7 @@ class Simulation:
     def _overlay_exchange(self, node: _Node, now_ms: int):
         try:
             target_id = select_target(
-                node.ranked, node.far, set(node.recent), self.rng, self.params.p_far,
+                node.ranked, node.random_view, set(node.recent), self.rng, self.params.p_far,
                 now_ms=now_ms, stale_ms=self.params.stale_ms,
             )
         except EmptyViewError:
@@ -314,13 +312,6 @@ class Simulation:
         target.ranked.merge(buf_a, now_ms, self.params.stale_ms)
         node.ranked.merge(buf_b, now_ms, self.params.stale_ms)
 
-    def _refresh_far(self, node: _Node):
-        ids = sorted(node.random_view.entries)
-        if not ids:
-            return
-        picked = self.rng.sample(ids, min(self.params.c_far, len(ids)))
-        node.far = [node.random_view.entries[nid].item for nid in picked]
-
     # -- rounds -------------------------------------------------------------
 
     def step(self) -> MetricsRow:
@@ -333,7 +324,6 @@ class Simulation:
             node = self.nodes.get(nid)
             if node is None:
                 continue
-            self._refresh_far(node)
             self._sampling_exchange(node, now_ms)
             self._overlay_exchange(node, now_ms)
         for node in self.nodes.values():

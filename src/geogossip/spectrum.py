@@ -4,8 +4,7 @@ Candidate lists from a converged run become a weighted interference
 graph; a deterministic greedy pass assigns each node the channel that
 minimizes conflict with already-assigned neighbors.  The assignment is
 only ever a *hint*: the controller keeps following a hinted channel
-while observed quality beats its baseline, and otherwise reverts (or,
-with a configurable probability, explores a random other channel).
+while observed quality beats its baseline, and otherwise reverts.
 """
 
 import csv
@@ -135,31 +134,19 @@ class HintState:
     channel: int
     baseline_channel: int
     baseline_qoe: float
-    mode: str = "following"  # following | reverted | exploring
+    mode: str = "following"  # following | reverted
 
 
-def qoe_step(
-    state: HintState,
-    hinted_channel: int,
-    observed_qoe: float,
-    rng: Random | None = None,
-    explore_prob: float = 0.2,
-    k_channels: int | None = None,
-) -> HintState:
+def qoe_step(state: HintState, hinted_channel: int, observed_qoe: float) -> HintState:
     """One control step after observing quality on the hinted channel.
 
     Improvement over the baseline keeps the node on the hint; anything
-    else sends it straight back to its original channel, or (with
-    explore_prob, when a channel count is given) to a random channel
-    other than the hint.
+    else sends it straight back to its original channel.
     """
     if not math.isfinite(observed_qoe):
         raise ValueError("observed QoE must be finite")
     if observed_qoe > state.baseline_qoe:
         return HintState(hinted_channel, state.baseline_channel, state.baseline_qoe, "following")
-    if k_channels is not None and k_channels > 1 and rng is not None and rng.random() < explore_prob:
-        others = [c for c in range(k_channels) if c != hinted_channel]
-        return HintState(rng.choice(others), state.baseline_channel, state.baseline_qoe, "exploring")
     return HintState(state.baseline_channel, state.baseline_channel, state.baseline_qoe, "reverted")
 
 

@@ -93,8 +93,11 @@ _ONE_NODE = "[nodes]\n1 0.0 0.0 5.0\n\n[seeds]\n1\n\n"
     _ONE_NODE + "[churn]\n0 leave 2\n",
     _ONE_NODE + "[churn]\n3 join 1 0.0 0.0 5.0\n",
     _ONE_NODE + "[churn]\n0 leave 1\n1 leave 1\n",
+    _ONE_NODE + "[churn]\n2 leave 1 junk\n",
+    "c_far = 3\npartner_strategy = oldest\n" + _ONE_NODE,
 ], ids=["non-numeric", "zero-capacity", "latitude-95", "churn-negative-round",
-        "leave-of-non-member", "join-of-live-id", "double-leave"])
+        "leave-of-non-member", "join-of-live-id", "double-leave", "churn-extra-field",
+        "removed-param-keys"])
 def test_invalid_scenario_exits_2(command, text, tmp_path, capsys):
     path = tmp_path / "bad.scn"
     path.write_text(text)

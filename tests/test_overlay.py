@@ -161,16 +161,27 @@ class TestSelectTarget:
         view = view_at(radius=500.0)
         view.merge([item_at(2, 100.0, 0.0, 400.0), item_at(3, 800.0, 0.0, 400.0)],
                    now_ms=2000, stale_ms=10**9)
-        assert select_target(view, [], set(), Random(0), p_far=0.0, **self.FRESH) == 2
-        assert select_target(view, [], {2}, Random(0), p_far=0.0, **self.FRESH) == 3
+        no_far = RandomView(1, 10)
+        assert select_target(view, no_far, set(), Random(0), p_far=0.0, **self.FRESH) == 2
+        assert select_target(view, no_far, {2}, Random(0), p_far=0.0, **self.FRESH) == 3
 
     def test_far_link_probability(self):
         view = view_at(radius=500.0)
         view.merge([item_at(2, 100.0, 0.0, 400.0)], now_ms=2000, stale_ms=10**9)
-        far = [item_at(77, 9000.0, 0.0, 10.0)]
+        far = random_view_with(1, [item_at(77, 9000.0, 0.0, 10.0)])
         rng = Random(1)
         picks = {select_target(view, far, set(), rng, p_far=0.5, **self.FRESH) for _ in range(200)}
         assert picks == {2, 77}
+
+    def test_every_far_link_is_a_random_view_entry(self):
+        view = view_at(radius=500.0)
+        view.merge([item_at(2, 100.0, 0.0, 400.0)], now_ms=2000, stale_ms=10**9)
+        far = random_view_with(1, [item_at(nid, 9000.0, 10.0 * nid, 10.0)
+                                   for nid in range(70, 78)])
+        rng = Random(3)
+        picks = {select_target(view, far, set(), rng, p_far=1.0, **self.FRESH)
+                 for _ in range(2000)}
+        assert picks == set(far.entries)
 
     def test_stale_candidate_probed(self):
         view = view_at(radius=500.0)
@@ -179,18 +190,19 @@ class TestSelectTarget:
                    now_ms=50_000, stale_ms=10**9)
         # node 3's descriptor is far past the staleness window: probe it
         # even though node 2 ranks higher
-        got = select_target(view, [], set(), Random(0), p_far=0.0,
+        got = select_target(view, RandomView(1, 10), set(), Random(0), p_far=0.0,
                             now_ms=50_000, stale_ms=1000)
         assert got == 3
 
     def test_empty_everything_raises(self):
         with pytest.raises(EmptyViewError):
-            select_target(view_at(), [], set(), Random(0), p_far=0.0, **self.FRESH)
+            select_target(view_at(), RandomView(1, 10), set(), Random(0), p_far=0.0,
+                          **self.FRESH)
 
     def test_falls_back_to_far_when_all_recent(self):
         view = view_at(radius=500.0)
         view.merge([item_at(2, 100.0, 0.0, 400.0)], now_ms=2000, stale_ms=10**9)
-        far = [item_at(77, 9000.0, 0.0, 10.0)]
+        far = random_view_with(1, [item_at(77, 9000.0, 0.0, 10.0)])
         assert select_target(view, far, {2}, Random(0), p_far=0.0, **self.FRESH) == 77
 
 

@@ -112,26 +112,15 @@ class TestPartnerSelection:
         old = random_item(rng, node_id=9999)
         merge_aged(view, [old], 7)
         for _ in range(20):
-            assert sample_partner(view, rng, "oldest") == 9999
+            assert sample_partner(view, rng) == 9999
 
     def test_tie_break_uniform_chi_square(self):
         # 50 equal-age entries, 10k draws: frequencies consistent with uniform
         rng = Random(27)
         view = RandomView(owner_id=1, capacity=60)
         fill(view, rng, 50, age=3)
-        counts = Counter(sample_partner(view, rng, "oldest") for _ in range(10_000))
+        counts = Counter(sample_partner(view, rng) for _ in range(10_000))
         assert len(counts) == 50
-        _, p = chisquare(list(counts.values()))
-        assert p > 0.01
-
-    def test_uniform_strategy_chi_square(self):
-        rng = Random(28)
-        view = RandomView(owner_id=1, capacity=60)
-        fill(view, rng, 50, age=3)
-        old = random_item(rng, node_id=7777)
-        merge_aged(view, [old], 9)
-        counts = Counter(sample_partner(view, rng, "uniform") for _ in range(10_200))
-        assert len(counts) == 51
         _, p = chisquare(list(counts.values()))
         assert p > 0.01
 

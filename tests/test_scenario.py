@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from geogossip.geometry import GeoPoint, distances_np
 from geogossip.scenario import (
     METERS_PER_DEG_LAT,
-    PARTNER_STRATEGIES,
     ChurnEvent,
     InvalidRegionError,
     NodeSpec,
@@ -35,7 +34,6 @@ class TestParams:
         assert p.c_rand == 30
         assert p.sample_half == 15
         assert p.c_rank == 20
-        assert p.c_far == 3
         assert p.p_far == 0.1
         assert p.period_seconds == 15.0
         assert p.stale_rounds == 10
@@ -48,7 +46,6 @@ class TestParams:
     @pytest.mark.parametrize("bad", [
         {"c_rand": 0},
         {"c_rank": 0},
-        {"c_far": -1},
         {"recent_rounds": -1},
         {"stale_rounds": -1},
         {"sample_half": 31},
@@ -56,7 +53,6 @@ class TestParams:
         {"p_far": 7.0},
         {"p_far": -0.1},
         {"p_far": math.nan},
-        {"partner_strategy": "bogus"},
         {"period_seconds": 0.0},
         {"period_seconds": math.inf},
         {"period_seconds": 1e306},
@@ -302,8 +298,7 @@ class TestFileRoundTrip:
         assert loads(dumps(sc)) == sc
 
     def test_params_round_trip(self):
-        sc = four_node_demo(params=Params(c_rand=12, sample_half=6, p_far=0.25,
-                                          partner_strategy="uniform"))
+        sc = four_node_demo(params=Params(c_rand=12, sample_half=6, p_far=0.25))
         back = loads(dumps(sc))
         assert back.params == sc.params
 
@@ -328,11 +323,14 @@ class TestFileRoundTrip:
         "rng_seed = x\n",
         "c_rand = 0\n",
         "p_far = 7\n",
-        "partner_strategy = bogus\n",
+        "partner_strategy = oldest\n",
+        "c_far = 3\n",
         "sample_half = 99\n",
         "period_seconds = 0\n",
         "no_such_key = 1\n",
         "c_rand 5\n",
+        "c_rand = 7\nc_rand = 30\n",
+        "[bogus]\n",
         "[nodes]\n1 95.0 0.0 100.0\n",
         "[nodes]\n1 0.0 0.0 -100.0\n",
         "[churn]\n0 leave\n",
@@ -341,11 +339,14 @@ class TestFileRoundTrip:
         _ONE_NODE + "[churn]\n0 leave 2\n",
         _ONE_NODE + "[churn]\n3 join 1 0.0 0.0 5.0\n",
         _ONE_NODE + "[churn]\n0 leave 1\n1 leave 1\n",
+        _ONE_NODE + "[churn]\n2 leave 1 junk\n",
     ], ids=["non-numeric-param", "non-numeric-seed", "zero-capacity", "p-far-above-1",
-            "unknown-strategy", "sample-half-above-c-rand", "zero-period", "unknown-key",
-            "header-without-equals", "node-latitude-95", "node-negative-radius",
+            "removed-key-partner-strategy", "removed-key-c-far",
+            "sample-half-above-c-rand", "zero-period", "unknown-key",
+            "header-without-equals", "repeated-key", "empty-unknown-section",
+            "node-latitude-95", "node-negative-radius",
             "churn-missing-field", "joiner-latitude-95", "churn-negative-round",
-            "leave-of-non-member", "join-of-live-id", "double-leave"])
+            "leave-of-non-member", "join-of-live-id", "double-leave", "churn-extra-field"])
     def test_every_failure_is_a_format_error(self, text):
         with pytest.raises(ScenarioFormatError):
             loads(text)
@@ -381,12 +382,10 @@ def _params(draw):
         c_rand=c_rand,
         sample_half=draw(st.integers(0, c_rand)),
         c_rank=draw(st.integers(1, 100)),
-        c_far=draw(st.integers(0, 10)),
         p_far=draw(st.floats(0.0, 1.0)),
         recent_rounds=draw(st.integers(0, 20)),
         period_seconds=draw(st.floats(0.001, 1e6)),
         stale_rounds=draw(st.integers(0, 100)),
-        partner_strategy=draw(st.sampled_from(PARTNER_STRATEGIES)),
     )
 
 
@@ -416,7 +415,7 @@ def _scenarios(draw):
 _TOKEN = st.one_of(
     st.integers(-(1 << 70), 1 << 70).map(str),
     st.floats().map(repr),
-    st.sampled_from(["join", "leave", "=", "#"] + list(PARTNER_STRATEGIES)),
+    st.sampled_from(["join", "leave", "=", "#"]),
     st.text(max_size=4),
 )
 _LINE = st.one_of(
@@ -446,15 +445,15 @@ class TestFormatProperties:
         assert dumps(loads(text)) == text
 
     @settings(deadline=None)
-    @given(_scenarios(), st.integers(0, 3), st.sampled_from([0.25, 0.5, 1.0]))
-    def test_added_churn_replays_the_listed_schedule(self, sc, start, rate):
+    @given(_scenarios(), st.sampled_from([0.25, 0.5, 1.0]))
+    def test_added_churn_replays_the_listed_schedule(self, sc, rate):
         listed = {n.node_id for n in sc.nodes}
         listed.update(ev.node.node_id if ev.op == "join" else ev.node_id for ev in sc.churn)
         assume(max(listed) < (1 << 64) - (1 << 16))  # room for fresh ids
         # building the result checks the merged schedule: no generated
         # leave or join collides with a listed event, earlier or later
         out = add_random_churn(sc, rounds=4, rate=rate, region=(1000.0, 1000.0),
-                               radius_law=10.0, start_round=start)
+                               radius_law=10.0)
         assert out.churn[:len(sc.churn)] == sc.churn
         added = out.churn[len(sc.churn):]
         assert all(ev.node.node_id > max(listed) for ev in added if ev.op == "join")
@@ -467,8 +466,7 @@ class TestFormatProperties:
                 live ^= {ev.node.node_id if ev.op == "join" else ev.node_id}
 
         live = {n.node_id for n in sc.nodes}
-        toggle(live, [ev for ev in sc.churn if ev.round < start])
-        for rnd in range(start, start + 4):
+        for rnd in range(4):
             toggle(live, [ev for ev in sc.churn if ev.round == rnd])
             joins = [ev for ev in added if ev.round == rnd and ev.op == "join"]
             assert len(joins) == int(round(rate * len(live)))

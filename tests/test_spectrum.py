@@ -191,22 +191,6 @@ class TestQoeController:
         assert out.channel == 1
         assert out.mode == "reverted"
 
-    def test_exploration_avoids_hinted_channel(self):
-        state = HintState(channel=2, baseline_channel=0, baseline_qoe=0.5)
-        rng = Random(46)
-        explored = set()
-        for _ in range(300):
-            out = qoe_step(state, 2, 0.1, rng=rng, explore_prob=1.0, k_channels=4)
-            assert out.mode == "exploring"
-            assert out.channel != 2
-            explored.add(out.channel)
-        assert explored == {0, 1, 3}
-
-    def test_no_exploration_without_rng(self):
-        state = HintState(channel=2, baseline_channel=0, baseline_qoe=0.5)
-        out = qoe_step(state, 2, 0.1, explore_prob=1.0, k_channels=4)
-        assert out.mode == "reverted"
-
     def test_baseline_preserved_across_steps(self):
         state = HintState(channel=0, baseline_channel=0, baseline_qoe=0.5)
         state = qoe_step(state, 2, 0.9)
