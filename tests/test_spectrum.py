@@ -1,9 +1,12 @@
+import hashlib
 import itertools
+import math
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geogossip import spectrum
 from geogossip.spectrum import (
     HintState,
     InterferenceGraph,
@@ -117,8 +120,27 @@ def sorted_sum(g, assignment):
     return sum(w for a, b, w in edges if assignment[a] == assignment[b])
 
 
+def reference_sweep(g, assignment, k):
+    """Full passes in sorted order, each node re-evaluated from scratch,
+    until a pass makes no move."""
+    assignment = dict(assignment)
+    changed = True
+    while changed:
+        changed = False
+        for node in sorted(assignment):
+            cost = [0.0] * k
+            for nbr, w in g.adj[node].items():
+                cost[assignment[nbr]] += w
+            best = min(range(k), key=lambda c: (cost[c], c))
+            if cost[best] < cost[assignment[node]]:
+                assignment[node] = best
+                changed = True
+    return assignment
+
+
 def reference_assign(g, k):
-    """greedy_assign with every conflict weight summed from scratch."""
+    """greedy_assign with full-pass sweeps and every conflict weight summed
+    from scratch."""
     order = sorted(g.vertices(), key=lambda n: (-g.weighted_degree(n), n))
     assignment = {}
     for node in order:
@@ -127,17 +149,49 @@ def reference_assign(g, k):
             if nbr in assignment:
                 cost[assignment[nbr]] += w
         assignment[node] = min(range(k), key=lambda c: (cost[c], c))
-    best = spectrum._sweep(g, assignment, k)
+    best = reference_sweep(g, assignment, k)
     best_weight = sorted_sum(g, best)
     rng = Random(0x5EED)
-    for _ in range(spectrum._RESTARTS):
+    for _ in range(16):
         if best_weight == 0.0:
             break
-        candidate = spectrum._sweep(g, {n: rng.randrange(k) for n in g.vertices()}, k)
+        candidate = reference_sweep(g, {n: rng.randrange(k) for n in g.vertices()}, k)
         weight = sorted_sum(g, candidate)
         if weight < best_weight:
             best, best_weight = candidate, weight
     return dict(sorted(best.items()))
+
+
+@st.composite
+def tied_graphs(draw):
+    """Sparse and negative ids, isolated vertices, and edges added in
+    shuffled order and direction with weights 1..3, so that costs tie."""
+    ids = draw(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=24, unique=True))
+    pairs = draw(st.lists(
+        st.tuples(st.sampled_from(ids), st.sampled_from(ids), st.integers(1, 3)), max_size=80))
+    g = InterferenceGraph()
+    for v in draw(st.permutations(ids)):
+        g.add_vertex(v)
+    for a, b, w in draw(st.permutations(pairs)):
+        g.add_edge(a, b, float(w))
+    return g
+
+
+def geometric_graph(n=300, radius=0.1, seed=9):
+    """Unit-square disk graph: weight falls linearly from 1 at distance 0
+    to 0 at the radius, and edges join in the order the pairs are drawn."""
+    rng = Random(seed)
+    points = [(rng.random(), rng.random()) for _ in range(n)]
+    pairs = list(itertools.combinations(range(n), 2))
+    rng.shuffle(pairs)
+    g = InterferenceGraph()
+    for v in range(n):
+        g.add_vertex(v)
+    for a, b in pairs:
+        d = math.dist(points[a], points[b])
+        if d < radius:
+            g.add_edge(b, a, 1.0 - d / radius)
+    return g
 
 
 class TestConflictAccounting:
@@ -155,6 +209,25 @@ class TestConflictAccounting:
         assert assignment == reference_assign(g, 3)
         assert repr(conflict_weight(g, assignment)) == repr(sorted_sum(g, assignment))
         assert conflict_weight(g, assignment) > 0.0
+
+    @settings(max_examples=400, deadline=None)
+    @given(tied_graphs(), st.sampled_from([1, 2, 3, 5]))
+    def test_matches_full_pass_reference(self, g, k):
+        got = greedy_assign(g, k)
+        want = reference_assign(g, k)
+        assert list(got.items()) == list(want.items())
+        assert repr(conflict_weight(g, got)) == repr(conflict_weight(g, want))
+
+    def test_pinned_assignment(self):
+        # all 16 restarts run, since no assignment here reaches zero conflict
+        g = geometric_graph()
+        assignment = greedy_assign(g, 3)
+        total = conflict_weight(g, assignment)
+        assert total > 0.0
+        lines = [f"{node} {channel}" for node, channel in assignment.items()]
+        lines.append(repr(total))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "5c073b0290ffa84433ebc4c7a4b026d2b0af2084c8c891bc65ce5a4ff07ac0b7"
 
     def test_local_sums_to_twice_total(self):
         g = random_graph(Random(45))
