@@ -9,6 +9,7 @@ while observed quality beats its baseline, and otherwise reverts.
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from random import Random
 
@@ -57,26 +58,43 @@ def build_graph(lists: dict[int, list[tuple[DiscoveryItem, float]]]) -> Interfer
     return g
 
 
-def _sweep(g: InterferenceGraph, assignment: dict[int, int], k: int) -> dict[int, int]:
+def _sweep(nbrs: list[array], wts: list, assignment: list[int], k: int) -> None:
     """Move single nodes to their cheapest channel until no move helps.
-    Total conflict strictly decreases on every move, so this terminates."""
-    assignment = dict(assignment)
-    changed = True
-    while changed:
-        changed = False
-        for node in sorted(assignment):
-            cost = [0.0] * k
-            for nbr, w in g.adj[node].items():
-                cost[assignment[nbr]] += w
-            best = min(range(k), key=lambda c: (cost[c], c))
-            if cost[best] < cost[assignment[node]]:
-                assignment[node] = best
-                changed = True
-    return assignment
+
+    Works in place on an assignment indexed like ``nbrs``: ``nbrs[i]``
+    holds the indices of node i's neighbours and ``wts[i]`` the edge
+    weights in the same (adjacency) order.  Passes run in index order, as
+    full passes would, but evaluate only dirty nodes: those with a
+    neighbour that moved since their last evaluation.  A node's move
+    depends only on its neighbours' channels, and its cost vector is
+    summed from scratch in adjacency order, so a clean node would get the
+    same bits and not move; a node that just moved sits at its argmin and
+    would not move again.  The skipped evaluations are therefore exactly
+    the ones that make no move, and the search stops where full passes
+    would stop: when a pass finds nothing to move.  Total conflict
+    strictly decreases on every move, so this terminates.
+    """
+    dirty = bytearray([1]) * len(assignment)
+    i = dirty.find(1)
+    while i >= 0:
+        dirty[i] = 0
+        cost = [0.0] * k
+        for j, w in zip(nbrs[i], wts[i]):
+            cost[assignment[j]] += w
+        # weights are finite and positive: the first minimum is the
+        # lowest cheapest channel
+        best = cost.index(min(cost))
+        if cost[best] < cost[assignment[i]]:
+            assignment[i] = best
+            for j in nbrs[i]:
+                dirty[j] = 1
+        i = dirty.find(1, i + 1)
+        if i < 0:
+            i = dirty.find(1)
 
 
 def greedy_assign(g: InterferenceGraph, k: int) -> dict[int, int]:
-    """Channel assignment over k channels.
+    """Channel assignment over k channels, keyed in ascending node id.
 
     A greedy pass processes nodes by weighted degree descending (ties by
     id) and gives each the channel with the least conflict against
@@ -85,31 +103,43 @@ def greedy_assign(g: InterferenceGraph, k: int) -> dict[int, int]:
     the plain greedy pass alone lands in poor local optima often enough
     to matter (it can leave conflict on instances a perfect assignment
     would resolve completely).  Deterministic for a given graph.
+
+    k is clamped to max degree + 1.  That is exact: with that many
+    channels every node has a free one at or below its degree, the
+    greedy pass leaves no conflict, and no sweep move or restart runs;
+    a larger k only appends zero-cost channels the argmin never reaches.
+    The local search re-evaluates only nodes whose neighbours moved
+    (see _sweep), which makes the same moves as full passes.
     """
     if k < 1:
         raise ValueError("need at least one channel")
-    order = sorted(g.vertices(), key=lambda n: (-g.weighted_degree(n), n))
-    assignment: dict[int, int] = {}
-    for node in order:
-        cost = [0.0] * k
-        for nbr, w in g.adj[node].items():
-            ch = assignment.get(nbr)
-            if ch is not None:
-                cost[ch] += w
-        assignment[node] = min(range(k), key=lambda c: (cost[c], c))
-    best = _sweep(g, assignment, k)
-    edges = g.edges()
-    best_weight = _conflict(edges, best)
-    rng = Random(0x5EED)
     nodes = g.vertices()
+    k = min(k, 1 + max((len(g.adj[n]) for n in nodes), default=0))
+    pos = {n: i for i, n in enumerate(nodes)}
+    nbrs = [array("i", [pos[m] for m in g.adj[n]]) for n in nodes]
+    wts = [g.adj[n].values() for n in nodes]
+    order = sorted(range(len(nodes)), key=lambda i: (-g.weighted_degree(nodes[i]), nodes[i]))
+    best = [-1] * len(nodes)
+    for i in order:
+        cost = [0.0] * k
+        for j, w in zip(nbrs[i], wts[i]):
+            ch = best[j]
+            if ch >= 0:
+                cost[ch] += w
+        best[i] = cost.index(min(cost))
+    _sweep(nbrs, wts, best, k)
+    edges = g.edges()
+    best_weight = _conflict(edges, dict(zip(nodes, best)))
+    rng = Random(0x5EED)
     for _ in range(_RESTARTS):
         if best_weight == 0.0:
             break
-        candidate = _sweep(g, {n: rng.randrange(k) for n in nodes}, k)
-        weight = _conflict(edges, candidate)
+        candidate = [rng.randrange(k) for _ in nodes]
+        _sweep(nbrs, wts, candidate, k)
+        weight = _conflict(edges, dict(zip(nodes, candidate)))
         if weight < best_weight:
             best, best_weight = candidate, weight
-    return dict(sorted(best.items()))
+    return dict(zip(nodes, best))
 
 
 def conflict_weight(g: InterferenceGraph, assignment: dict[int, int]) -> float:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 from random import Random
 
 import pytest
@@ -45,73 +46,6 @@ def brute_force_optimum(g, k):
         assignment = dict(zip(nodes, channels))
         best = min(best, conflict_weight(g, assignment))
     return best
-
-
-class TestGraph:
-    def test_edges_symmetrized_by_max(self):
-        g = graph_from_edges([(1, 2, 3.0), (2, 1, 5.0), (1, 2, 4.0)])
-        assert g.edges() == [(1, 2, 5.0)]
-        assert g.adj[1][2] == g.adj[2][1] == 5.0
-
-    def test_self_loops_and_nonpositive_ignored(self):
-        g = graph_from_edges([(1, 1, 3.0), (1, 2, 0.0), (1, 3, -1.0)])
-        assert g.edges() == []
-
-    def test_weighted_degree(self):
-        g = graph_from_edges([(1, 2, 3.0), (1, 3, 4.0)])
-        assert g.weighted_degree(1) == 7.0
-        assert g.weighted_degree(2) == 3.0
-        assert g.weighted_degree(99) == 0.0
-
-    def test_build_from_candidate_lists(self):
-        rng = Random(40)
-        a, b = random_item(rng, node_id=1), random_item(rng, node_id=2)
-        lists = {1: [(b, 2.5)], 2: [(a, 2.5)], 3: []}
-        g = build_graph(lists)
-        assert g.vertices() == [1, 2, 3]
-        assert g.edges() == [(1, 2, 2.5)]
-
-
-class TestGreedyAssign:
-    def test_triangle_three_channels(self):
-        g = graph_from_edges([(1, 2, 1.0), (2, 3, 1.0), (1, 3, 1.0)])
-        assignment = greedy_assign(g, 3)
-        assert conflict_weight(g, assignment) == 0.0
-        assert len(set(assignment.values())) == 3
-
-    def test_star_two_channels(self):
-        g = graph_from_edges([(0, i, 1.0) for i in range(1, 6)])
-        assignment = greedy_assign(g, 2)
-        assert conflict_weight(g, assignment) == 0.0
-
-    def test_channels_within_range(self):
-        g = random_graph(Random(41))
-        assignment = greedy_assign(g, 3)
-        assert set(assignment) == set(g.vertices())
-        assert all(0 <= c < 3 for c in assignment.values())
-
-    def test_deterministic(self):
-        g = random_graph(Random(42))
-        assert greedy_assign(g, 3) == greedy_assign(g, 3)
-
-    def test_needs_a_channel(self):
-        with pytest.raises(ValueError):
-            greedy_assign(InterferenceGraph(), 0)
-
-    def test_single_channel_total_weight(self):
-        g = random_graph(Random(43))
-        assignment = greedy_assign(g, 1)
-        total = sum(w for _, _, w in g.edges())
-        assert conflict_weight(g, assignment) == pytest.approx(total)
-
-    def test_near_optimal_on_small_instances(self):
-        # 20 random 8-node instances vs exhaustive 3^8 search
-        rng = Random(44)
-        for _ in range(20):
-            g = random_graph(rng, n=8, density=0.6)
-            greedy = conflict_weight(g, greedy_assign(g, 3))
-            optimum = brute_force_optimum(g, 3)
-            assert greedy <= 1.5 * optimum + 1e-9
 
 
 def sorted_sum(g, assignment):
@@ -192,6 +126,92 @@ def geometric_graph(n=300, radius=0.1, seed=9):
         if d < radius:
             g.add_edge(b, a, 1.0 - d / radius)
     return g
+
+
+class TestGraph:
+    def test_edges_symmetrized_by_max(self):
+        g = graph_from_edges([(1, 2, 3.0), (2, 1, 5.0), (1, 2, 4.0)])
+        assert g.edges() == [(1, 2, 5.0)]
+        assert g.adj[1][2] == g.adj[2][1] == 5.0
+
+    def test_self_loops_and_nonpositive_ignored(self):
+        g = graph_from_edges([(1, 1, 3.0), (1, 2, 0.0), (1, 3, -1.0)])
+        assert g.edges() == []
+
+    def test_weighted_degree(self):
+        g = graph_from_edges([(1, 2, 3.0), (1, 3, 4.0)])
+        assert g.weighted_degree(1) == 7.0
+        assert g.weighted_degree(2) == 3.0
+        assert g.weighted_degree(99) == 0.0
+
+    def test_build_from_candidate_lists(self):
+        rng = Random(40)
+        a, b = random_item(rng, node_id=1), random_item(rng, node_id=2)
+        lists = {1: [(b, 2.5)], 2: [(a, 2.5)], 3: []}
+        g = build_graph(lists)
+        assert g.vertices() == [1, 2, 3]
+        assert g.edges() == [(1, 2, 2.5)]
+
+
+class TestGreedyAssign:
+    def test_triangle_three_channels(self):
+        g = graph_from_edges([(1, 2, 1.0), (2, 3, 1.0), (1, 3, 1.0)])
+        assignment = greedy_assign(g, 3)
+        assert conflict_weight(g, assignment) == 0.0
+        assert len(set(assignment.values())) == 3
+
+    def test_star_two_channels(self):
+        g = graph_from_edges([(0, i, 1.0) for i in range(1, 6)])
+        assignment = greedy_assign(g, 2)
+        assert conflict_weight(g, assignment) == 0.0
+
+    def test_channels_within_range(self):
+        g = random_graph(Random(41))
+        assignment = greedy_assign(g, 3)
+        assert set(assignment) == set(g.vertices())
+        assert all(0 <= c < 3 for c in assignment.values())
+
+    def test_deterministic(self):
+        g = random_graph(Random(42))
+        assert greedy_assign(g, 3) == greedy_assign(g, 3)
+
+    def test_needs_a_channel(self):
+        with pytest.raises(ValueError):
+            greedy_assign(InterferenceGraph(), 0)
+
+    def test_spare_channels_cost_no_memory(self):
+        g = graph_from_edges([(1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 5, 1.0)])
+        tracemalloc.start()
+        try:
+            assignment = greedy_assign(g, 10**7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert assignment == greedy_assign(g, 3)
+
+    @settings(deadline=None)
+    @given(tied_graphs(), st.integers(1, 40))
+    def test_channels_past_max_degree_plus_one_change_nothing(self, g, extra):
+        enough = 1 + max(len(nbrs) for nbrs in g.adj.values())
+        got = greedy_assign(g, enough + extra)
+        assert got == greedy_assign(g, enough) == reference_assign(g, enough + extra)
+        assert conflict_weight(g, got) == 0.0
+
+    def test_single_channel_total_weight(self):
+        g = random_graph(Random(43))
+        assignment = greedy_assign(g, 1)
+        total = sum(w for _, _, w in g.edges())
+        assert conflict_weight(g, assignment) == pytest.approx(total)
+
+    def test_near_optimal_on_small_instances(self):
+        # 20 random 8-node instances vs exhaustive 3^8 search
+        rng = Random(44)
+        for _ in range(20):
+            g = random_graph(rng, n=8, density=0.6)
+            greedy = conflict_weight(g, greedy_assign(g, 3))
+            optimum = brute_force_optimum(g, 3)
+            assert greedy <= 1.5 * optimum + 1e-9
 
 
 class TestConflictAccounting:
