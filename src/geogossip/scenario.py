@@ -10,7 +10,9 @@ sectioned tables) so generated files are byte-identical for equal inputs.
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import reduce
 from ipaddress import IPv6Address
+from operator import add
 from random import Random
 
 from .geometry import METERS_PER_DEG_LAT, GeoPoint
@@ -211,8 +213,9 @@ def generate_scenario(
         nodes.append(spec)
         xs.append(x)
         ys.append(y)
-    cx = sum(xs) / n
-    cy = sum(ys) / n
+    # left folds: the builtin sum of floats is compensated from Python 3.12
+    cx = reduce(add, xs, 0) / n
+    cy = reduce(add, ys, 0) / n
     seed_idx = max(range(n), key=lambda i: ((xs[i] - cx) ** 2 + (ys[i] - cy) ** 2, -i))
     return Scenario(
         nodes=nodes,

@@ -10,6 +10,8 @@ a single seeded generator, so a scenario replays bit-identically.
 import csv
 from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from random import Random
 
 import numpy as np
@@ -349,13 +351,14 @@ class Simulation:
             if self.round - node.join_round >= 10:
                 settled.append(recall)
         n = len(live)
+        # left folds: the builtin sum of floats is compensated from Python 3.12
         return MetricsRow(
             round=self.round,
-            mean_recall=sum(recalls) / n if n else 1.0,
+            mean_recall=reduce(add, recalls, 0) / n if n else 1.0,
             min_recall=min(recalls) if recalls else 1.0,
             bytes_sent_mean=round_bytes / n if n else 0.0,
             live_nodes=n,
-            mean_recall_settled=sum(settled) / len(settled) if settled else None,
+            mean_recall_settled=reduce(add, settled, 0) / len(settled) if settled else None,
         )
 
     def run(self, rounds: int) -> MetricsSeries:

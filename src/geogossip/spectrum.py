@@ -9,13 +9,22 @@ while observed quality beats its baseline, and otherwise reverts.
 
 import csv
 import math
-from array import array
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate, chain
+from operator import add
 from random import Random
+
+import numpy as np
 
 from .wire import DiscoveryItem
 
 _RESTARTS = 16
+
+# Float sums here are one left fold, reduce(add, xs, 0): the builtin sum
+# of floats is compensated from Python 3.12 on, so its bits, and through
+# them the greedy order and the restart choice, would depend on the
+# interpreter.
 
 
 class InterferenceGraph:
@@ -39,13 +48,8 @@ class InterferenceGraph:
     def vertices(self) -> list[int]:
         return sorted(self.adj)
 
-    def edges(self) -> list[tuple[int, int, float]]:
-        return sorted(
-            (a, b, w) for a, nbrs in self.adj.items() for b, w in nbrs.items() if a < b
-        )
-
     def weighted_degree(self, node_id: int) -> float:
-        return sum(self.adj.get(node_id, {}).values())
+        return reduce(add, self.adj.get(node_id, {}).values(), 0)
 
 
 def build_graph(lists: dict[int, list[tuple[DiscoveryItem, float]]]) -> InterferenceGraph:
@@ -58,36 +62,81 @@ def build_graph(lists: dict[int, list[tuple[DiscoveryItem, float]]]) -> Interfer
     return g
 
 
-def _sweep(nbrs: list[array], wts: list, assignment: list[int], k: int) -> None:
+def _csr(g: InterferenceGraph, nodes: list[int]):
+    """The graph as CSR arrays over node positions in ``nodes``: row
+    starts, neighbour indices and weights, each row in adjacency order."""
+    pos = {n: i for i, n in enumerate(nodes)}
+    rows = [g.adj[n] for n in nodes]
+    starts = np.fromiter(accumulate(map(len, rows), initial=0), np.intp, len(rows) + 1)
+    size = int(starts[-1])
+    idx = np.fromiter(map(pos.__getitem__, chain.from_iterable(rows)), np.intp, size)
+    wts = np.fromiter(chain.from_iterable(map(dict.values, rows)), np.float64, size)
+    return starts, idx, wts
+
+
+def _edges(starts: np.ndarray, idx: np.ndarray, wts: np.ndarray):
+    """Edge arrays (ea, eb, ew) with ea < eb, sorted by (ea, eb).  With
+    ``nodes`` sorted, that is the order of sorted (a, b) node-id pairs."""
+    rows = np.arange(len(starts) - 1).repeat(starts[1:] - starts[:-1])
+    upper = rows < idx
+    ea = rows[upper]
+    del rows  # drop each build temporary as soon as it is used
+    eb = idx[upper]
+    ew = wts[upper]
+    del upper
+    # ea is already ascending, so the stable sort only orders eb within a row
+    order = np.lexsort((eb, ea))
+    eb = eb[order]
+    ew = ew[order]
+    return ea, eb, ew
+
+
+def _conflict(edges, channels: np.ndarray) -> float:
+    """Conflict weight of a channel array indexed by node position.
+
+    np.cumsum is a left fold, so the total has the bits of summing the
+    conflicting weights one by one in sorted edge order; no conflict
+    gives the int 0, as the builtin sum did.
+    """
+    ea, eb, ew = edges
+    hit = ew[channels[ea] == channels[eb]]
+    return hit.cumsum()[-1].item() if len(hit) else 0
+
+
+def _sweep(bounds: list[int], idx: np.ndarray, wts: np.ndarray, assignment: np.ndarray,
+           k: int) -> None:
     """Move single nodes to their cheapest channel until no move helps.
 
-    Works in place on an assignment indexed like ``nbrs``: ``nbrs[i]``
-    holds the indices of node i's neighbours and ``wts[i]`` the edge
-    weights in the same (adjacency) order.  Passes run in index order, as
-    full passes would, but evaluate only dirty nodes: those with a
-    neighbour that moved since their last evaluation.  A node's move
+    Works in place on a channel array indexed by node position, over the
+    CSR arrays of _csr: ``idx[bounds[i]:bounds[i + 1]]`` holds the
+    positions of node i's neighbours and the same slice of ``wts`` the
+    edge weights, in adjacency order.  Passes run in index order, as full
+    passes would, but evaluate only dirty nodes: those with a neighbour
+    that moved since their last evaluation.  A node's move
     depends only on its neighbours' channels, and its cost vector is
-    summed from scratch in adjacency order, so a clean node would get the
-    same bits and not move; a node that just moved sits at its argmin and
-    would not move again.  The skipped evaluations are therefore exactly
-    the ones that make no move, and the search stops where full passes
-    would stop: when a pass finds nothing to move.  Total conflict
-    strictly decreases on every move, so this terminates.
+    summed from scratch in adjacency order (np.bincount adds each bin's
+    weights in input order, starting from 0.0, so the vector has the bits
+    of a scalar loop), so a clean node would get the same bits and not
+    move; a node that just moved sits at its argmin and would not move
+    again.  The skipped evaluations are therefore exactly the ones that
+    make no move, and the search stops where full passes would stop: when
+    a pass finds nothing to move.  Total conflict strictly decreases on
+    every move, so this terminates.
     """
     dirty = bytearray([1]) * len(assignment)
+    mark = np.frombuffer(dirty, np.uint8)
     i = dirty.find(1)
     while i >= 0:
         dirty[i] = 0
-        cost = [0.0] * k
-        for j, w in zip(nbrs[i], wts[i]):
-            cost[assignment[j]] += w
+        start, end = bounds[i], bounds[i + 1]
+        near = idx[start:end]
+        cost = np.bincount(assignment[near], wts[start:end], k).tolist()
         # weights are finite and positive: the first minimum is the
         # lowest cheapest channel
-        best = cost.index(min(cost))
-        if cost[best] < cost[assignment[i]]:
-            assignment[i] = best
-            for j in nbrs[i]:
-                dirty[j] = 1
+        low = min(cost)
+        if low < cost[assignment.item(i)]:
+            assignment[i] = cost.index(low)
+            mark[near] = 1
         i = dirty.find(1, i + 1)
         if i < 0:
             i = dirty.find(1)
@@ -110,53 +159,52 @@ def greedy_assign(g: InterferenceGraph, k: int) -> dict[int, int]:
     a larger k only appends zero-cost channels the argmin never reaches.
     The local search re-evaluates only nodes whose neighbours moved
     (see _sweep), which makes the same moves as full passes.
+
+    All sums run on CSR arrays built once per call, with the bits of
+    scalar loops: np.bincount adds each bin's weights in input order
+    (adjacency order), and np.cumsum is a left fold over the sorted edge
+    order.  The greedy pass counts unassigned neighbours (channel -1) in
+    bin 0 of ``channel + 1`` and drops that bin.
     """
     if k < 1:
         raise ValueError("need at least one channel")
     nodes = g.vertices()
     k = min(k, 1 + max((len(g.adj[n]) for n in nodes), default=0))
-    pos = {n: i for i, n in enumerate(nodes)}
-    nbrs = [array("i", [pos[m] for m in g.adj[n]]) for n in nodes]
-    wts = [g.adj[n].values() for n in nodes]
+    starts, idx, wts = _csr(g, nodes)
+    edges = _edges(starts, idx, wts)
+    # the loops slice per node: prebuilt views, about 120 bytes each,
+    # raised peak RSS on the 1,000-node bench runs by 1-2%
+    bounds = starts.tolist()
     order = sorted(range(len(nodes)), key=lambda i: (-g.weighted_degree(nodes[i]), nodes[i]))
-    best = [-1] * len(nodes)
+    best = np.full(len(nodes), -1, np.intp)
     for i in order:
-        cost = [0.0] * k
-        for j, w in zip(nbrs[i], wts[i]):
-            ch = best[j]
-            if ch >= 0:
-                cost[ch] += w
-        best[i] = cost.index(min(cost))
-    _sweep(nbrs, wts, best, k)
-    edges = g.edges()
-    best_weight = _conflict(edges, dict(zip(nodes, best)))
+        start, end = bounds[i], bounds[i + 1]
+        best[i] = np.bincount(best[idx[start:end]] + 1, wts[start:end], k + 1)[1:].argmin()
+    _sweep(bounds, idx, wts, best, k)
+    best_weight = _conflict(edges, best)
     rng = Random(0x5EED)
     for _ in range(_RESTARTS):
         if best_weight == 0.0:
             break
-        candidate = [rng.randrange(k) for _ in nodes]
-        _sweep(nbrs, wts, candidate, k)
-        weight = _conflict(edges, dict(zip(nodes, candidate)))
+        candidate = np.array([rng.randrange(k) for _ in nodes], np.intp)
+        _sweep(bounds, idx, wts, candidate, k)
+        weight = _conflict(edges, candidate)
         if weight < best_weight:
             best, best_weight = candidate, weight
-    return dict(zip(nodes, best))
+    return dict(zip(nodes, best.tolist()))
 
 
 def conflict_weight(g: InterferenceGraph, assignment: dict[int, int]) -> float:
-    """Total weight of edges whose endpoints share a channel."""
-    return _conflict(g.edges(), assignment)
-
-
-def _conflict(edges: list[tuple[int, int, float]], assignment: dict[int, int]) -> float:
-    """conflict_weight over g.edges() sorted once: the sum runs in that
-    order, so its bits do not depend on which caller sorted."""
-    return sum(w for a, b, w in edges if assignment[a] == assignment[b])
+    """Total weight of edges whose endpoints share a channel, summed in
+    sorted edge order (see _conflict).  ``assignment`` covers every vertex."""
+    nodes = g.vertices()
+    channels = np.fromiter(map(assignment.__getitem__, nodes), np.intp, len(nodes))
+    return _conflict(_edges(*_csr(g, nodes)), channels)
 
 
 def local_conflict(g: InterferenceGraph, assignment: dict[int, int], node_id: int) -> float:
-    return sum(
-        w for nbr, w in g.adj.get(node_id, {}).items() if assignment[nbr] == assignment[node_id]
-    )
+    own = assignment[node_id]
+    return reduce(add, (w for m, w in g.adj.get(node_id, {}).items() if assignment[m] == own), 0)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
+import csv
 import os
+import re
 from dataclasses import replace
 from ipaddress import IPv4Address
 
@@ -166,6 +168,20 @@ class TestAssign:
         lines = out.read_text().splitlines()
         assert lines[0] == "node_id,channel,local_conflict_weight"
         assert len(lines) == 5
+
+    def test_conflict_weights_print_as_python_numbers(self, tmp_path, capsys):
+        scn = tmp_path / "s.scn"
+        assert main(["gen", "--n", "40", "--region", "1000x1000", "--radius", "100,400",
+                     "--seed", "2", "--out", str(scn)]) == 0
+        out = tmp_path / "assign.csv"
+        assert main(["assign", str(scn), "--rounds", "5", "--channels", "1",
+                     "--out", str(out)]) == 0
+        assert re.search(r"total conflict weight [1-9]\d*\.\d\n", capsys.readouterr().out)
+        rows = list(csv.reader(out.read_text().splitlines()))[1:]
+        weights = [w for _, _, w in rows]
+        # a float repr, or the int 0 of an empty sum
+        assert all(w == "0" or repr(float(w)) == w for w in weights)
+        assert any(w != "0" for w in weights)
 
 
 class TestInspect:
