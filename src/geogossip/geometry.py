@@ -18,12 +18,6 @@ import numpy as np
 EARTH_RADIUS_M = 6_371_000.0
 METERS_PER_DEG_LAT = EARTH_RADIUS_M * math.pi / 180.0
 
-# the meridian arc's margins: relative, for the kernel's rounding at any
-# distance, and absolute (meters), for the rounding of each latitude into
-# radians, which reaches 1.4e-9 m between latitudes a few ulps apart
-_ARC_M_PER_DEG = METERS_PER_DEG_LAT * (1.0 - 1e-6)
-_ARC_ABS_M = 1e-6
-
 
 @dataclass(frozen=True)
 class GeoPoint:
@@ -55,18 +49,6 @@ def distances_np(lat0: float, lon0: float, lats, lons):
     b = np.sin(np.abs(np.radians(lons) - np.radians(lon0)) / 2.0)
     h = a * a + np.cos(phi0) * np.cos(phi) * (b * b)
     return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(h)))
-
-
-def meridian_arc_bound(lat0: float, lat: float) -> float:
-    """A lower bound, in meters, on distances_np between any point at
-    latitude lat0 and any point at latitude lat.
-
-    The great-circle distance is never less than the meridian arc between
-    the two latitudes; the margins keep the bound below the kernel's
-    computed value as well, so a decision made on the bound agrees with
-    one made on the distance.
-    """
-    return abs(lat - lat0) * _ARC_M_PER_DEG - _ARC_ABS_M
 
 
 def _segment(r: float, theta: float) -> float:

@@ -20,7 +20,7 @@ from random import Random
 
 import numpy as np
 
-from .geometry import distances_np, meridian_arc_bound, overlap_area_f
+from .geometry import distances_np, overlap_area_f
 from .sampling import EmptyViewError, RandomView
 from .wire import DiscoveryItem
 
@@ -58,12 +58,6 @@ class RankedView:
         # frontier, so a cached one stays an upper bound on it
         self._frontier: tuple | None = None
 
-    def __len__(self):
-        return len(self.entries)
-
-    def __contains__(self, node_id: int):
-        return node_id in self.entries
-
     def drop(self, node_id: int):
         self.entries.pop(node_id, None)
         self._frontier = None
@@ -77,9 +71,9 @@ class RankedView:
         capacity.  Candidates survive the cut as long as they are fresh.
 
         An item that the capacity cut would drop in this same call is never
-        scored: a non-candidate keyed past the capacity frontier is
-        rejected on the meridian-arc bound, or else on its key.  The
-        entries kept are those of scoring every item and then cutting.
+        entered: a non-candidate keyed past the capacity frontier is
+        rejected on its key.  The entries kept are those of scoring every
+        item and then cutting.
         """
         pending: dict[int, DiscoveryItem] = {}
         own = self.owner_id
@@ -142,24 +136,8 @@ class RankedView:
                 del entries[item.node_id]
                 self._frontier = None
         frontier = self._frontier
-        lat, radius = self.lat, self.radius
-        if frontier is not None:
-            # the bound never exceeds the kernel's distance: an item whose
-            # bound reaches the combined radii is no candidate, and one whose
-            # bound is past a non-candidate frontier's distance, or any
-            # bound when the frontier is a candidate, is keyed past it
-            past_candidate = frontier[0] < 0.0
-            frontier_dist = frontier[1]
-            near = []
-            for item in items:
-                bound = meridian_arc_bound(lat, item.latitude)
-                if bound >= radius + item.radius and (past_candidate or bound > frontier_dist):
-                    continue
-                near.append(item)
-            items = near
-            if not items:
-                return
-        dists = distances_np(lat, self.lon,
+        radius = self.radius
+        dists = distances_np(self.lat, self.lon,
                              np.array([it.latitude for it in items]),
                              np.array([it.longitude for it in items])).tolist()
         for item, dist in zip(items, dists):

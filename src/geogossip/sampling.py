@@ -54,12 +54,6 @@ class RandomView:
         self.capacity = capacity
         self.entries: dict[int, PeerDescriptor] = {}
 
-    def __len__(self):
-        return len(self.entries)
-
-    def __contains__(self, node_id: int):
-        return node_id in self.entries
-
     def items(self):
         return [d.item for d in self.entries.values()]
 

@@ -213,7 +213,7 @@ class Simulation:
         for spec in scenario.nodes:
             self._create_node(spec, join_round=0)
         for spec in scenario.nodes:
-            self._bootstrap_node(self.nodes[spec.node_id], now_ms=0)
+            self._bootstrap_node(self.nodes[spec.node_id], now_ms=0, joining=False)
 
     # -- membership ---------------------------------------------------------
 
@@ -227,15 +227,18 @@ class Simulation:
         self.nodes[spec.node_id] = node
         return node
 
-    def _bootstrap_node(self, node: _Node, now_ms: int):
+    def _bootstrap_node(self, node: _Node, now_ms: int, joining: bool):
+        """Introduce node to the live designated seeds.  With none alive, a
+        churn joiner (a rejoining seed too) or a round-0 node that is no
+        seed falls back to one random live introducer; a round-0 seed
+        without another seed starts alone, and the others find it."""
         own_id = node.spec.node_id
         seeds = [
             self.nodes[sid].own_item(now_ms)
             for sid in self.scenario.seeds
             if sid != own_id and sid in self.nodes
         ]
-        if not seeds and len(self.nodes) > 1 and own_id not in self.scenario.seeds:
-            # all designated seeds are gone; fall back to a random live introducer
+        if not seeds and len(self.nodes) > 1 and (joining or own_id not in self.scenario.seeds):
             others = sorted(set(self.nodes) - {own_id})
             seeds = [self.nodes[self.rng.choice(others)].own_item(now_ms)]
         if seeds:
@@ -253,7 +256,7 @@ class Simulation:
                     raise UnknownNodeError(ev.node_id)
                 self.oracle.remove(self.nodes.pop(ev.node_id).spec)
         for node in joined:
-            self._bootstrap_node(node, now_ms)
+            self._bootstrap_node(node, now_ms, joining=True)
 
     def _forget(self, node: _Node, dead_id: int):
         node.random_view.drop(dead_id)

@@ -1,5 +1,6 @@
 """Shared test utilities: random item generation and independent oracles."""
 
+import itertools
 import math
 from ipaddress import IPv4Address, IPv6Address
 from random import Random
@@ -127,3 +128,29 @@ def entry_bits(view) -> dict:
     """A view's entries as {id: (key, candidate, item)}, the key by its
     repr so that its floats compare bit for bit."""
     return {nid: (repr(e.key), e.candidate, e.item) for nid, e in view.entries.items()}
+
+
+def sorted_edges(g) -> list[tuple[int, int, float]]:
+    """A graph's edges as (a, b, weight) with a < b, in sorted order."""
+    return sorted((a, b, w) for a, nbrs in g.adj.items() for b, w in nbrs.items() if a < b)
+
+
+def brute_force_optimum(g, k) -> tuple[float, dict[int, int]]:
+    """The least conflict weight over all k^n channel assignments, and the
+    first assignment that reaches it.
+
+    Each total is a left fold with += over the sorted edge list, built
+    once per graph, so the search calls nothing of the code under test.
+    """
+    nodes = g.vertices()
+    pos = {v: i for i, v in enumerate(nodes)}
+    edges = [(pos[a], pos[b], w) for a, b, w in sorted_edges(g)]
+    best, best_channels = math.inf, None
+    for channels in itertools.product(range(k), repeat=len(nodes)):
+        total = 0
+        for a, b, w in edges:
+            if channels[a] == channels[b]:
+                total += w
+        if total < best:
+            best, best_channels = total, channels
+    return best, dict(zip(nodes, best_channels))

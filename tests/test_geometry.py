@@ -3,14 +3,11 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from geogossip.geometry import (
     EARTH_RADIUS_M,
     GeoPoint,
     distances_np,
-    meridian_arc_bound,
     overlap_area_f,
 )
 from geogossip.scenario import NodeSpec, generate_scenario
@@ -98,35 +95,6 @@ class TestKernel:
             assert distances_np(*a, *b) == d
             oracle = LatitudeIndex([NodeSpec(1, *a, ra), NodeSpec(2, *b, rb)]).candidates
             assert oracle == ({1: {2}, 2: {1}} if d < ra + rb else {1: set(), 2: set()})
-
-
-_LATS = st.one_of(st.floats(-90.0, 90.0), st.sampled_from([-90.0, -89.9999, 0.0, 59.91, 89.9999, 90.0]))
-_LONS = st.one_of(st.floats(-180.0, 180.0, exclude_max=True),
-                  st.sampled_from([-180.0, -179.9999, 0.0, 179.9999, math.nextafter(180.0, 0.0)]))
-
-
-class TestMeridianArcBound:
-    """The overlay rejects items on this bound before any kernel call, so
-    it must never exceed the kernel's distance."""
-
-    @settings(max_examples=1000, deadline=None)
-    @given(lat0=_LATS, lon0=_LONS, lat=_LATS, lon=_LONS,
-           ulps=st.one_of(st.none(), st.integers(-8, 8)))
-    @example(59.91, 10.75, 59.91, 10.75, 1)  # kernel 0.0 m, relative bound 7.9e-10 m
-    @example(90.0, 0.0, -90.0, -180.0, None)  # pole to pole
-    def test_never_exceeds_the_kernel(self, lat0, lon0, lat, lon, ulps):
-        if ulps is not None:
-            # a latitude a few ulps from the owner's, where rounding into
-            # radians dominates the difference
-            lat = lat0
-            for _ in range(abs(ulps)):
-                lat = math.nextafter(lat, math.copysign(90.0, ulps))
-            lat = min(90.0, max(-90.0, lat))
-        assert meridian_arc_bound(lat0, lat) <= float(distances_np(lat0, lon0, lat, lon))
-
-    def test_tight_along_a_meridian(self):
-        d = float(distances_np(10.0, 5.0, 10.5, 5.0))
-        assert d * (1.0 - 2e-6) < meridian_arc_bound(10.0, 10.5) <= d
 
 
 class TestValidation:

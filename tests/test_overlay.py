@@ -101,7 +101,7 @@ class TestRanking:
         items = [item_at(i, 300.0 * i, 0.0, 200.0) for i in range(2, 8)]
         view = view_at(radius=500.0, capacity=10)
         view.merge(items, now_ms=1000, stale_ms=10**9)
-        assert len(view) == 6
+        assert len(view.entries) == 6
         assert view.candidate_ids() == {2}
 
 
@@ -109,7 +109,7 @@ class TestMerge:
     def test_never_stores_owner(self):
         view = view_at(owner_id=1)
         view.merge([item_at(1, 100.0, 0.0, 50.0)], now_ms=2000, stale_ms=10**9)
-        assert len(view) == 0
+        assert len(view.entries) == 0
 
     def test_stale_copy_ignored(self):
         view = view_at()
@@ -127,9 +127,9 @@ class TestMerge:
     def test_stale_noncandidates_evicted(self):
         view = view_at(radius=500.0)
         view.merge([item_at(2, 9000.0, 0.0, 50.0, ts=100)], now_ms=100, stale_ms=1000)
-        assert 2 in view
+        assert 2 in view.entries
         view.merge([], now_ms=5000, stale_ms=1000)
-        assert 2 not in view
+        assert 2 not in view.entries
 
     def test_stale_candidates_pinned(self):
         # a candidate must survive staleness: live neighbors whose refresh
@@ -137,7 +137,7 @@ class TestMerge:
         view = view_at(radius=500.0)
         view.merge([item_at(2, 100.0, 0.0, 50.0, ts=100)], now_ms=100, stale_ms=1000)
         view.merge([], now_ms=50_000, stale_ms=1000)
-        assert 2 in view
+        assert 2 in view.entries
 
     def test_capacity_cut_spares_candidates(self):
         view = view_at(radius=500.0, capacity=5)
@@ -145,12 +145,12 @@ class TestMerge:
         misses = [item_at(i, 5000.0 + i, 0.0, 10.0) for i in range(100, 110)]
         view.merge(cands + misses, now_ms=2000, stale_ms=10**9)
         assert view.candidate_ids() == set(range(2, 10))
-        assert len(view) == 8  # 8 pinned candidates, all misses cut
+        assert len(view.entries) == 8  # 8 pinned candidates, all misses cut
 
     def test_merge_ranked_wrapper(self):
         view = view_at()
         view.merge([item_at(2, 100.0, 0.0, 50.0)], now_ms=2000, stale_ms=10**9)
-        assert 2 in view
+        assert 2 in view.entries
 
 
 class TestSelectTarget:
@@ -368,9 +368,10 @@ class TestMergeMatchesScoringEverything:
         assert entry_bits(view) == entry_bits(ref)
 
     def test_latitude_one_ulp_from_the_frontier(self):
-        # at latitude 59.91 one ulp of latitude is 0.0 m to the kernel but
-        # 7.9e-10 m along the meridian: without an absolute margin, the
-        # bound would pass the frontier at distance 0 and reject node 3
+        # at latitude 59.91 one ulp of latitude is 0.0 m to the kernel, so
+        # node 3 ties the frontier's distance and enters on the id
+        # tie-break; a reject on any other measure of the gap (7.9e-10 m
+        # along the meridian) would drop it
         lat, lon = 59.91, 10.75
         view = RankedView(1, lat, lon, 0.0, capacity=1)
         ref = ReferenceRankedView(1, lat, lon, 0.0, capacity=1)

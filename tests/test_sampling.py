@@ -36,7 +36,7 @@ class TestRandomView:
         rng = Random(20)
         view = RandomView(owner_id=1000, capacity=10)
         fill(view, rng, 5)
-        assert 1000 not in view
+        assert 1000 not in view.entries
 
     def test_dedup_keeps_freshest(self):
         rng = Random(21)
@@ -54,9 +54,9 @@ class TestRandomView:
         fill(view, rng, 10, age=5)
         young = [random_item(rng, node_id=2000 + i) for i in range(4)]
         merge_aged(view, young, 0)
-        assert len(view) == 10
+        assert len(view.entries) == 10
         for it in young:
-            assert it.node_id in view
+            assert it.node_id in view.entries
 
     def test_tick_ages_everything(self):
         rng = Random(23)
@@ -151,7 +151,7 @@ class TestBuffers:
         own = random_item(rng, node_id=1)
         partner = sample_partner(view, rng)
         buf = make_push_buffer(view, own, half=15, rng=rng)
-        assert partner in view
+        assert partner in view.entries
         assert buf[0] is own
 
 

@@ -6,7 +6,7 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geogossip.geometry import GeoPoint, distances_np
@@ -125,6 +125,12 @@ def wrap_lon(lon):
     return (lon + 180.0) % 360.0 - 180.0
 
 
+# anywhere on the sphere, with the poles and both sides of the antimeridian
+_LATS = st.one_of(st.floats(-90.0, 90.0), st.sampled_from([-90.0, -89.9999, 0.0, 59.91, 89.9999, 90.0]))
+_LONS = st.one_of(st.floats(-180.0, 180.0, exclude_max=True),
+                  st.sampled_from([-180.0, -179.9999, 0.0, 179.9999, math.nextafter(180.0, 0.0)]))
+
+
 class TestLatitudeIndex:
     def test_matches_exhaustive_after_every_churn_round(self):
         sc = generate_scenario(500, region=(5000.0, 5000.0), radius_law=(100.0, 600.0),
@@ -158,6 +164,37 @@ class TestLatitudeIndex:
         east = {s.node_id for s in sc.nodes if s.longitude > 0.0}
         assert 0 < len(east) < len(sc.nodes)
         assert any(nid in east and nbrs - east for nid, nbrs in gt.items())
+
+    @settings(max_examples=500, deadline=None)
+    @given(lat0=_LATS, lon0=_LONS, lat=_LATS, lon=_LONS,
+           ulps=st.one_of(st.none(), st.integers(-8, 8)), share=st.floats(0.0, 0.5))
+    @example(59.91, 10.75, 59.91, 10.75, 1, 0.5)  # one ulp of latitude, 0.0 m to the kernel
+    @example(90.0, 0.0, -90.0, -180.0, None, 0.25)  # pole to pole
+    def test_pairs_at_the_edge_of_candidacy(self, lat0, lon0, lat, lon, ulps, share):
+        """A pair whose combined radii sit one step either side of the
+        kernel's distance: the band scan must decide it as the exhaustive
+        scan does."""
+        if ulps is not None:
+            # a latitude a few ulps from the first, where rounding into
+            # radians dominates the difference
+            lat = lat0
+            for _ in range(abs(ulps)):
+                lat = math.nextafter(lat, math.copysign(90.0, ulps))
+            lat = min(90.0, max(-90.0, lat))
+        d = float(distances_np(lat0, lon0, lat, lon))
+        # step the larger radius, so that each step moves the sum
+        small = d * share
+        big = d - small
+        while not d < small + big:
+            big = math.nextafter(big, math.inf)
+        inside = big
+        while d < small + big:
+            big = math.nextafter(big, -math.inf)
+        for r in (inside, big):
+            specs = [NodeSpec(1, lat0, lon0, small), NodeSpec(2, lat, lon, r)]
+            want = exhaustive_candidates(specs)
+            assert want[1] == ({2} if r == inside else set())
+            assert LatitudeIndex(specs).candidates == want
 
     def test_near_the_pole(self):
         rng = Random(12)
@@ -335,6 +372,28 @@ class TestChurnHandling:
         found = {item.node_id for item, _ in sim.candidate_lists()[9001]}
         want = sim.oracle.candidates[9001] - {sc.seeds[0]}
         assert found >= want
+
+    def test_rejoining_seed_gets_an_introducer(self):
+        # the only seed leaves and comes back while no other seed is alive:
+        # like any joiner it takes a random live introducer, or its random
+        # view would stay empty and it would never start a sampling exchange
+        sc = generate_scenario(300, region=(5000.0, 5000.0), radius_law=(100.0, 600.0),
+                               rng_seed=3)
+        [seed] = [s for s in sc.nodes if s.node_id in sc.seeds]
+        sc = replace(sc, churn=(ChurnEvent(2, "leave", node_id=seed.node_id),
+                                ChurnEvent(12, "join", node=seed)))
+        sim = Simulation(sc)
+        sim.run(13)
+        assert sim.nodes[seed.node_id].random_view.entries
+
+    def test_round_0_joiner_after_the_only_seed_leaves(self):
+        demo = four_node_demo()
+        joiner = NodeSpec(5, demo.nodes[0].latitude, demo.nodes[0].longitude, 300.0)
+        sc = replace(demo, churn=(ChurnEvent(0, "leave", node_id=demo.seeds[0]),
+                                  ChurnEvent(0, "join", node=joiner)))
+        sim = Simulation(sc)
+        sim.step()
+        assert sim.nodes[5].random_view.entries
 
     def test_settled_metric_excludes_new_joiners(self):
         sc = small_scenario(n=60)

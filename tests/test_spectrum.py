@@ -19,7 +19,7 @@ from geogossip.spectrum import (
     local_conflict,
     qoe_step,
 )
-from helpers import random_item
+from helpers import brute_force_optimum, random_item, sorted_edges
 
 
 def graph_from_edges(edges):
@@ -40,21 +40,11 @@ def random_graph(rng, n=8, density=0.5):
     return g
 
 
-def brute_force_optimum(g, k):
-    nodes = g.vertices()
-    best = float("inf")
-    for channels in itertools.product(range(k), repeat=len(nodes)):
-        assignment = dict(zip(nodes, channels))
-        best = min(best, conflict_weight(g, assignment))
-    return best
-
-
 def sorted_sum(g, assignment):
     """Conflict weight summed from scratch over the edges in sorted order,
     one float at a time: the builtin sum is compensated from Python 3.12."""
-    edges = sorted((a, b, w) for a, nbrs in g.adj.items() for b, w in nbrs.items() if a < b)
     total = 0
-    for a, b, w in edges:
+    for a, b, w in sorted_edges(g):
         if assignment[a] == assignment[b]:
             total += w
     return total
@@ -233,7 +223,8 @@ class TestGreedyAssign:
         for _ in range(20):
             g = random_graph(rng, n=8, density=0.6)
             greedy = conflict_weight(g, greedy_assign(g, 3))
-            optimum = brute_force_optimum(g, 3)
+            optimum, best = brute_force_optimum(g, 3)
+            assert repr(optimum) == repr(conflict_weight(g, best))
             assert greedy <= 1.5 * optimum + 1e-9
 
 
