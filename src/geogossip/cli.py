@@ -40,12 +40,9 @@ def _parse_radius(text: str):
 
 
 def cmd_gen(args) -> int:
-    if args.n < 1:
-        print("error: --n must be >= 1", file=sys.stderr)
-        return 2
     try:
         s = scn.generate_scenario(args.n, args.region, args.radius, args.seed)
-    except (scn.InvalidRegionError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -84,6 +84,13 @@ class RankedView:
             nid = item.node_id
             if nid == own:
                 continue
+            # a pending copy is already fresher than the held one, so it is
+            # the copy to beat
+            prev = pending_get(nid)
+            if prev is not None:
+                if item.timestamp_ms > prev.timestamp_ms:
+                    pending[nid] = item
+                continue
             cur = entries_get(nid)
             if cur is not None:
                 if item.timestamp_ms <= cur.item.timestamp_ms:
@@ -93,9 +100,6 @@ class RankedView:
                         and item.radius == cur.item.radius):
                     cur.item = item
                     continue
-            prev = pending_get(nid)
-            if prev is not None and item.timestamp_ms <= prev.timestamp_ms:
-                continue
             pending[nid] = item
         # staleness applies to non-candidates only: a pinned candidate must
         # never drop out while its node is alive (refresh gossip can lag past
@@ -206,8 +210,8 @@ def buffer_for(view: RankedView, random_view: RandomView,
     receiver keys everything by node id.
     """
     pool: dict[int, DiscoveryItem] = {e.item.node_id: e.item for e in view.entries.values()}
-    for item in random_view.items():
-        pool.setdefault(item.node_id, item)
+    for desc in random_view.entries.values():
+        pool.setdefault(desc.item.node_id, desc.item)
     pool.pop(own_item.node_id, None)
     items = list(pool.values())
     if len(items) <= limit:

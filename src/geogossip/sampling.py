@@ -7,7 +7,7 @@ are evicted when the view overflows.  Aging doubles as churn cleanup:
 descriptors of dead nodes stop being refreshed and fall out.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from random import Random
 
@@ -36,14 +36,10 @@ class PeerDescriptor:
     item: DiscoveryItem
     age: int  # gossip rounds since the item was created
     salted: int  # _salt64(owner, node id): the eviction tie-break
-    neg_ts: int = field(init=False)  # -item.timestamp_ms: fresher sorts first
-
-    def __post_init__(self):
-        self.neg_ts = -self.item.timestamp_ms
 
 
-# oldest last; among equal ages the fresher item first, then the salted mix
-_evict_key = attrgetter("age", "neg_ts", "salted")
+# oldest last; among equal ages the salted mix
+_evict_key = attrgetter("age", "salted")
 
 
 class RandomView:
@@ -54,9 +50,6 @@ class RandomView:
         self.capacity = capacity
         self.entries: dict[int, PeerDescriptor] = {}
 
-    def items(self):
-        return [d.item for d in self.entries.values()]
-
     def drop(self, node_id: int):
         self.entries.pop(node_id, None)
 
@@ -66,8 +59,12 @@ class RandomView:
 
     def merge(self, items, now_ms: int, period_ms: int):
         """Merge received items, ages reconstructed from their timestamps:
-        dedup keeping the freshest copy, never store self, evict the
-        oldest entries past capacity."""
+        dedup keeping the youngest copy (within one age the held copy
+        stays), never store self, evict the oldest entries past capacity.
+
+        Age is the view's only clock.  In the engine every timestamp is a
+        multiple of the period and every live view ticks once a round, so
+        one age means one timestamp."""
         owner = self.owner_id
         entries_get = self.entries.get
         for item in items:
@@ -80,14 +77,14 @@ class RandomView:
             cur = entries_get(nid)
             if cur is None:
                 self.entries[nid] = PeerDescriptor(item, age, _salt64(owner, nid))
-            elif (age, -item.timestamp_ms) < (cur.age, cur.neg_ts):
+            elif age < cur.age:
                 self.entries[nid] = PeerDescriptor(item, age, cur.salted)
         self._evict()
 
     def _evict(self):
         if len(self.entries) > self.capacity:
-            # age/timestamp ties are common (items minted the same round), so
-            # the last tie-break is the owner-salted mix: a plain id ordering
+            # age ties are common (items minted the same round), so the
+            # last tie-break is the owner-salted mix: a plain id ordering
             # would evict the same nodes from every view in the overlay
             ranked = sorted(self.entries.values(), key=_evict_key)
             self.entries = {d.item.node_id: d for d in ranked[: self.capacity]}
@@ -112,7 +109,6 @@ def make_push_buffer(
     return [own_item] + [view.entries[n].item for n in picked]
 
 
-def merge_random(view: RandomView, received, now_ms: int, period_ms: int) -> RandomView:
+def merge_random(view: RandomView, received, now_ms: int, period_ms: int):
     """Merge received items into the view (ages derived from timestamps)."""
     view.merge(received, now_ms, period_ms)
-    return view

@@ -169,12 +169,12 @@ def _to_geo(x: float, y: float, origin: GeoPoint) -> tuple[float, float]:
         raise InvalidRegionError(f"region passes a pole: latitude {lat}")
     lon = origin.longitude + x / (METERS_PER_DEG_LAT * math.cos(math.radians(origin.latitude)))
     if not -180.0 <= lon < 180.0:
-        # wrap across the antimeridian; fmod and the one step after it are exact
+        # wrap across the antimeridian; fmod and the one step after it are
+        # exact.  x >= 0 and the origin is at or east of -180, so lon is
+        # >= 180 here, and its fmod lies in [0, 360)
         lon = math.fmod(lon, 360.0)
         if lon >= 180.0:
             lon -= 360.0
-        elif lon < -180.0:
-            lon += 360.0
     return lat, lon
 
 
@@ -195,7 +195,6 @@ def generate_scenario(
     radius_law,
     rng_seed: int,
     origin: GeoPoint = DEFAULT_ORIGIN,
-    params: Params | None = None,
 ) -> Scenario:
     """Place n nodes uniformly in a width x height (meters) box.
 
@@ -217,12 +216,7 @@ def generate_scenario(
     cx = reduce(add, xs, 0) / n
     cy = reduce(add, ys, 0) / n
     seed_idx = max(range(n), key=lambda i: ((xs[i] - cx) ** 2 + (ys[i] - cy) ** 2, -i))
-    return Scenario(
-        nodes=nodes,
-        seeds=[nodes[seed_idx].node_id],
-        params=params if params is not None else Params(),
-        rng_seed=rng_seed,
-    )
+    return Scenario(nodes=nodes, seeds=[nodes[seed_idx].node_id], rng_seed=rng_seed)
 
 
 def add_random_churn(
@@ -262,17 +256,16 @@ def add_random_churn(
             events.append(ChurnEvent(r, "join", node=spec))
             live.add(next_id)
             next_id += 1
+        # this round's joiners are removable, so there are at least count
         removable = sorted(nid for nid in live - protected if last_named.get(nid, r) <= r)
         for _ in range(count):
-            if not removable:
-                break
             victim = removable.pop(rng.randrange(len(removable)))
             events.append(ChurnEvent(r, "leave", node_id=victim))
             live.discard(victim)
     return replace(scenario, churn=events)
 
 
-def four_node_demo(params: Params | None = None, rng_seed: int = 1) -> Scenario:
+def four_node_demo() -> Scenario:
     """Four nodes A(1), B(2), C(3), D(4) arranged so that the big-disk
     node D overlaps everyone, C overlaps only D, and A and B overlap each
     other and D."""
@@ -287,12 +280,7 @@ def four_node_demo(params: Params | None = None, rng_seed: int = 1) -> Scenario:
     for nid, x, y, r in placements:
         lat, lon = _to_geo(x, y, origin)
         nodes.append(NodeSpec(nid, lat, lon, r))
-    return Scenario(
-        nodes=nodes,
-        seeds=[1],
-        params=params if params is not None else Params(),
-        rng_seed=rng_seed,
-    )
+    return Scenario(nodes=nodes, seeds=[1], rng_seed=1)
 
 
 # --- scenario file round trip ------------------------------------------------

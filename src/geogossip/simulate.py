@@ -46,12 +46,15 @@ class MetricsRow:
 @dataclass
 class MetricsSeries:
     rows: list[MetricsRow] = field(default_factory=list)
-    total_bytes: int = 0
     total_descriptors: int = 0
-    node_rounds: int = 0
 
-    def append(self, row: MetricsRow):
-        self.rows.append(row)
+    @property
+    def total_bytes(self) -> int:
+        return FRAME_LEN * self.total_descriptors
+
+    @property
+    def node_rounds(self) -> int:
+        return sum(row.live_nodes for row in self.rows)
 
     def mean_bytes_per_second(self, period_seconds: float) -> float:
         if self.node_rounds == 0:
@@ -242,7 +245,7 @@ class Simulation:
             others = sorted(set(self.nodes) - {own_id})
             seeds = [self.nodes[self.rng.choice(others)].own_item(now_ms)]
         if seeds:
-            node.random_view.merge(seeds, now_ms, self.params.period_ms)
+            merge_random(node.random_view, seeds, now_ms, self.params.period_ms)
             node.ranked.merge(seeds, now_ms, self.params.stale_ms)
 
     def apply_churn(self, events: list[ChurnEvent], now_ms: int):
@@ -265,7 +268,6 @@ class Simulation:
     # -- exchanges ----------------------------------------------------------
 
     def _record(self, buf: list[DiscoveryItem]):
-        self.series.total_bytes += FRAME_LEN * len(buf)
         self.series.total_descriptors += len(buf)
 
     def _sampling_exchange(self, node: _Node, now_ms: int):
@@ -322,20 +324,18 @@ class Simulation:
     def step(self) -> MetricsRow:
         now_ms = self.round * self.params.period_ms
         self.apply_churn(self._churn_by_round.get(self.round, []), now_ms)
-        bytes_before = self.series.total_bytes
+        descriptors_before = self.series.total_descriptors
         order = sorted(self.nodes)
         self.rng.shuffle(order)
+        # nodes leave only in apply_churn, so every id in order is alive
         for nid in order:
-            node = self.nodes.get(nid)
-            if node is None:
-                continue
+            node = self.nodes[nid]
             self._sampling_exchange(node, now_ms)
             self._overlay_exchange(node, now_ms)
         for node in self.nodes.values():
             node.random_view.tick()
-        row = self._measure(self.series.total_bytes - bytes_before)
-        self.series.append(row)
-        self.series.node_rounds += row.live_nodes
+        row = self._measure(FRAME_LEN * (self.series.total_descriptors - descriptors_before))
+        self.series.rows.append(row)
         self.round += 1
         return row
 

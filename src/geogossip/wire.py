@@ -77,7 +77,6 @@ def decode(frame: bytes) -> DiscoveryItem:
     if len(frame) != FRAME_LEN:
         raise FrameLengthError(f"expected {FRAME_LEN} bytes, got {len(frame)}")
     node_id, lat, lon, radius = _HEADER.unpack(frame[:32])
-    check_ranges(lat, lon, radius)
     address: IPv4Address | IPv6Address = IPv6Address(frame[32:48])
     mapped = address.ipv4_mapped
     if mapped is not None:

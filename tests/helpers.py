@@ -87,6 +87,11 @@ class ReferenceRankedView:
             nid = item.node_id
             if nid == self.owner_id:
                 continue
+            prev = pending.get(nid)
+            if prev is not None:
+                if item.timestamp_ms > prev.timestamp_ms:
+                    pending[nid] = item
+                continue
             cur = self.entries.get(nid)
             if cur is not None:
                 if item.timestamp_ms <= cur.item.timestamp_ms:
@@ -96,9 +101,6 @@ class ReferenceRankedView:
                         and item.radius == cur.item.radius):
                     cur.item = item
                     continue
-            prev = pending.get(nid)
-            if prev is not None and item.timestamp_ms <= prev.timestamp_ms:
-                continue
             pending[nid] = item
         if pending:
             for e in self.score(list(pending.values())):

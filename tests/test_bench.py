@@ -29,6 +29,9 @@ def test_tracer_reports_every_layer():
     t.install()
     try:
         sim = Simulation(four_node_demo())
+        # bootstrap merges into the random view through merge_random, as
+        # every exchange does, so the sampling.merge span covers it too
+        assert any(t.names[span[0]] == "sampling.merge" for span in t.spans)
         t.live = sim.nodes
         for _ in range(3):
             sim.step()

@@ -40,6 +40,19 @@ class TestGen:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    def test_malformed_region_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--n", "5", "--region", "abc", "--out", str(tmp_path / "x.txt")])
+        assert exc.value.code == 2
+        assert "region must look like" in capsys.readouterr().err
+
+    def test_inverted_radius_range_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.txt"
+        rc = main(["gen", "--n", "5", "--radius", "5,1", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_unwritable_path(self, tmp_path, capsys):
         rc = main(["gen", "--n", "5", "--out", str(tmp_path / "no" / "dir" / "x.txt")])
         assert rc == 1
@@ -75,6 +88,12 @@ class TestRun:
         rc = main(["run", str(tmp_path / "nope.scn"), "--out", str(tmp_path / "m.csv")])
         assert rc == 1
         assert "cannot read scenario" in capsys.readouterr().err
+
+    def test_unwritable_out_exits_1(self, demo_path, tmp_path, capsys):
+        rc = main(["run", demo_path, "--rounds", "2",
+                   "--out", str(tmp_path / "no" / "dir" / "m.csv")])
+        assert rc == 1
+        assert "cannot write" in capsys.readouterr().err
 
     def test_seed_override_changes_nothing_for_same_seed(self, demo_path, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -168,6 +187,22 @@ class TestAssign:
         lines = out.read_text().splitlines()
         assert lines[0] == "node_id,channel,local_conflict_weight"
         assert len(lines) == 5
+
+    def test_unwritable_out_exits_1(self, demo_path, tmp_path, capsys):
+        rc = main(["assign", demo_path, "--rounds", "2",
+                   "--out", str(tmp_path / "no" / "dir" / "a.csv")])
+        assert rc == 1
+        assert "cannot write" in capsys.readouterr().err
+
+    def test_seed_override_runs_as_the_files_own_seed(self, demo_path, tmp_path, capsys):
+        seeded = tmp_path / "seeded.scn"
+        save_scenario(replace(four_node_demo(), rng_seed=3), seeded)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["assign", demo_path, "--rounds", "3", "--seed", "3", "--out", str(a)]) == 0
+        first = capsys.readouterr().out
+        assert main(["assign", str(seeded), "--rounds", "3", "--out", str(b)]) == 0
+        assert capsys.readouterr().out == first
+        assert a.read_text() == b.read_text()
 
     def test_conflict_weights_print_as_python_numbers(self, tmp_path, capsys):
         scn = tmp_path / "s.scn"

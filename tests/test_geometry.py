@@ -102,6 +102,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             GeoPoint(90.5, 0.0)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            GeoPoint(float("nan"), 0.0)
+
     def test_longitude_half_open(self):
         with pytest.raises(ValueError):
             GeoPoint(0.0, 180.0)

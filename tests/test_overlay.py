@@ -205,6 +205,15 @@ class TestSelectTarget:
         far = random_view_with(1, [item_at(77, 9000.0, 0.0, 10.0)])
         assert select_target(view, far, {2}, Random(0), p_far=0.0, **self.FRESH) == 77
 
+    def test_falls_back_to_ranked_entries_when_nothing_else_is_left(self):
+        # the random view is empty and every ranked entry is recent
+        view = view_at(radius=500.0)
+        view.merge([item_at(2, 100.0, 0.0, 400.0), item_at(3, 800.0, 0.0, 400.0)],
+                   now_ms=2000, stale_ms=10**9)
+        picks = {select_target(view, RandomView(1, 10), {2, 3}, Random(seed), p_far=0.0,
+                               **self.FRESH) for seed in range(50)}
+        assert picks == {2, 3}
+
 
 class TestBufferFor:
     def test_own_item_first_and_peer_tailored(self):
@@ -365,6 +374,21 @@ class TestMergeMatchesScoringEverything:
         for v in (view, ref):
             v.merge(second, now_ms=2000, stale_ms=10**9)
         assert sorted(view.entries) == [3, 5]
+        assert entry_bits(view) == entry_bits(ref)
+
+    def test_freshest_copy_in_a_batch_wins(self):
+        # the batch's newest copy of node 2 sits where the held copy does;
+        # an older copy that moved must not replace it
+        view = RankedView(1, 0.0, 0.0, 500.0, capacity=20)
+        ref = ReferenceRankedView(1, 0.0, 0.0, 500.0, capacity=20)
+
+        def node_2(lat, ts):
+            return replace(item_at(2, 0.0, 0.0, 50.0, ts=ts), latitude=lat)
+
+        for v in (view, ref):
+            v.merge([node_2(0.001, 1)], now_ms=10, stale_ms=10**9)
+            v.merge([node_2(0.002, 5), node_2(0.001, 6)], now_ms=10, stale_ms=10**9)
+            assert v.entries[2].item == node_2(0.001, 6)
         assert entry_bits(view) == entry_bits(ref)
 
     def test_latitude_one_ulp_from_the_frontier(self):

@@ -48,6 +48,17 @@ class TestRandomView:
         merge_aged(view, [item], 3)
         assert view.entries[5].age == 1  # older copy ignored
 
+    def test_equal_age_keeps_held_copy(self):
+        # age is the view's only clock: a copy of the same age does not
+        # replace the held one, whatever its timestamp
+        rng = Random(25)
+        view = RandomView(owner_id=1, capacity=10)
+        held = replace(random_item(rng, node_id=5), timestamp_ms=NOW - 2 * PERIOD + 1)
+        later = replace(held, timestamp_ms=NOW - PERIOD)
+        view.merge([held], NOW, PERIOD)
+        view.merge([later], NOW, PERIOD)
+        assert view.entries[5].item is held
+
     def test_capacity_bound_evicts_oldest(self):
         rng = Random(22)
         view = RandomView(owner_id=1, capacity=10)

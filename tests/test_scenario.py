@@ -270,6 +270,17 @@ class TestChurnSchedule:
 
         assert build() == build()
 
+    def test_leaves_fall_on_joiners_when_no_listed_node_can_leave(self):
+        # the only node is the seed: each round's leaves take that round's
+        # joiners, so there is always someone to remove
+        sc = Scenario(nodes=[NodeSpec(1, 59.91, 10.75, 10.0)], seeds=[1])
+        sc = add_random_churn(sc, rounds=5, rate=1.0, region=(1000.0, 1000.0), radius_law=10.0)
+        for r in range(5):
+            events = [ev for ev in sc.churn if ev.round == r]
+            joined = [ev.node.node_id for ev in events if ev.op == "join"]
+            assert joined == [r + 2]
+            assert [ev.node_id for ev in events if ev.op == "leave"] == joined
+
     @pytest.mark.parametrize("rate, region", [
         (-0.5, (1000.0, 1000.0)), (1.5, (1000.0, 1000.0)),
         (0.1, (0.0, 1000.0)), (0.1, (1000.0, -1.0)),
@@ -298,7 +309,7 @@ class TestFileRoundTrip:
         assert loads(dumps(sc)) == sc
 
     def test_params_round_trip(self):
-        sc = four_node_demo(params=Params(c_rand=12, sample_half=6, p_far=0.25))
+        sc = replace(four_node_demo(), params=Params(c_rand=12, sample_half=6, p_far=0.25))
         back = loads(dumps(sc))
         assert back.params == sc.params
 

@@ -213,6 +213,13 @@ class TestLatitudeIndex:
         assert sum(map(len, gt.values())) > 0
 
 
+def golden_scenario():
+    """300 nodes, 1% churn a round for 20 rounds."""
+    region, radii = (5000.0, 5000.0), (100.0, 600.0)
+    sc = generate_scenario(300, region, radii, 0)
+    return add_random_churn(sc, rounds=20, rate=0.01, region=region, radius_law=radii)
+
+
 class TestGoldenTrajectory:
     # Pins a whole run: any change to a trajectory, a candidate list or a
     # utility's last bit changes the digest.  The utilities come from
@@ -221,16 +228,30 @@ class TestGoldenTrajectory:
     DIGEST = "8ef25f922d89271727af15e367df52f6c4ade3089609e8b48c0ed40aa266e0f5"
 
     def test_digest(self, tmp_path):
-        region, radii = (5000.0, 5000.0), (100.0, 600.0)
-        sc = generate_scenario(300, region, radii, 0)
-        sc = add_random_churn(sc, rounds=20, rate=0.01, region=region, radius_law=radii)
-        sim = Simulation(sc)
+        sim = Simulation(golden_scenario())
         sim.run(20)
         sim.series.to_csv(tmp_path / "metrics.csv")
         lines = [f"{nid} {item.node_id} {util!r}"
                  for nid, entries in sim.candidate_lists().items() for item, util in entries]
         data = (tmp_path / "metrics.csv").read_bytes() + "\n".join(lines).encode()
         assert hashlib.sha256(data).hexdigest() == self.DIGEST
+
+
+class TestRandomViewClock:
+    def test_age_is_a_function_of_the_timestamp(self):
+        # why the random view orders on age alone: in the engine a
+        # descriptor's age is its timestamp's distance from now, in periods
+        sim = Simulation(golden_scenario())
+        period_ms = sim.params.period_ms
+        checked = 0
+        for _ in range(20):
+            sim.step()
+            now_ms = sim.round * period_ms
+            for node in sim.nodes.values():
+                for desc in node.random_view.entries.values():
+                    assert desc.age == (now_ms - desc.item.timestamp_ms) // period_ms
+                    checked += 1
+        assert checked > 100_000
 
 
 class TestConvergenceRound:
@@ -296,6 +317,9 @@ class TestSimulationBasics:
         per_node_round = series.total_bytes / series.node_rounds
         assert series.mean_bytes_per_second(15.0) == pytest.approx(per_node_round / 15.0)
 
+    def test_no_rounds_no_bandwidth(self):
+        assert MetricsSeries().mean_bytes_per_second(15.0) == 0.0
+
 
 class TestCandidateLists:
     def test_random_view_knows_no_candidate_the_ranked_view_lacks(self):
@@ -310,7 +334,7 @@ class TestCandidateLists:
             sim.step()
             for node in sim.nodes.values():
                 pinned = node.ranked.candidate_ids()
-                items = node.random_view.items()
+                items = [d.item for d in node.random_view.entries.values()]
                 if items:
                     spec = node.spec
                     dists = distances_np(spec.latitude, spec.longitude,
