@@ -1,6 +1,5 @@
 """Gossip-based geographic neighbor discovery with spectrum coordination hints."""
 
-from .geometry import GeoPoint
 from .wire import (
     FRAME_LEN,
     DiscoveryItem,

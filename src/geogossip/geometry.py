@@ -1,4 +1,4 @@
-"""Geographic primitives: points, the distance kernel, disk overlap.
+"""Geographic primitives: the distance kernel and disk overlap.
 
 Distances are great-circle on a sphere; overlap areas use the planar
 circle-circle lens formula with the great-circle center distance.  The
@@ -11,26 +11,11 @@ candidacy decision and every utility comes from the same bits.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 EARTH_RADIUS_M = 6_371_000.0
 METERS_PER_DEG_LAT = EARTH_RADIUS_M * math.pi / 180.0
-
-
-@dataclass(frozen=True)
-class GeoPoint:
-    latitude: float
-    longitude: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.latitude) and math.isfinite(self.longitude)):
-            raise ValueError("coordinates must be finite")
-        if not -90.0 <= self.latitude <= 90.0:
-            raise ValueError(f"latitude out of range: {self.latitude}")
-        if not -180.0 <= self.longitude < 180.0:
-            raise ValueError(f"longitude out of range: {self.longitude}")
 
 
 def distances_np(lat0: float, lon0: float, lats, lons):

@@ -1,7 +1,7 @@
 """Scenario definition, generation, churn schedules, and file round-trip.
 
 A scenario is the full deterministic input to the simulator: node
-placement, protocol parameters, seed nodes, churn schedule, and the RNG
+placement, the gossip period, seed nodes, churn schedule, and the RNG
 seed.  The records are frozen, and a Scenario holds its nodes, seeds and
 churn as tuples, so the checks made when one is built hold for as long as
 it lives.  The file format is line-oriented text (key = value header plus
@@ -15,7 +15,7 @@ from ipaddress import IPv6Address
 from operator import add
 from random import Random
 
-from .geometry import METERS_PER_DEG_LAT, GeoPoint
+from .geometry import METERS_PER_DEG_LAT
 from .wire import check_ranges
 
 _ADDR_BASE = 0x2001_0DB8 << 96
@@ -36,25 +36,9 @@ def address_for(node_id: int) -> IPv6Address:
 
 @dataclass(frozen=True)
 class Params:
-    c_rand: int = 30
-    sample_half: int = 15
-    c_rank: int = 20
-    p_far: float = 0.1
-    recent_rounds: int = 5
     period_seconds: float = 15.0
-    stale_rounds: int = 10
 
     def __post_init__(self):
-        for name in ("c_rand", "c_rank"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1: {getattr(self, name)}")
-        for name in ("recent_rounds", "stale_rounds"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0: {getattr(self, name)}")
-        if not 0 <= self.sample_half <= self.c_rand:
-            raise ValueError(f"sample_half must be in [0, c_rand]: {self.sample_half}")
-        if not 0.0 <= self.p_far <= 1.0:
-            raise ValueError(f"p_far must be in [0, 1]: {self.p_far}")
         # the milliseconds too must be finite, or period_ms cannot round them
         if not (math.isfinite(self.period_seconds * 1000) and self.period_ms >= 1):
             raise ValueError(f"period must be positive: {self.period_seconds}")
@@ -62,10 +46,6 @@ class Params:
     @property
     def period_ms(self) -> int:
         return int(round(self.period_seconds * 1000))
-
-    @property
-    def stale_ms(self) -> int:
-        return self.stale_rounds * self.period_ms
 
 
 @dataclass(frozen=True)
@@ -153,7 +133,8 @@ def _radius_law(spec) -> tuple[float, float]:
     return lo, hi
 
 
-DEFAULT_ORIGIN = GeoPoint(59.91, 10.75)
+# the generators place every node north and east of this point
+ORIGIN_LAT, ORIGIN_LON = 59.91, 10.75
 
 
 def _check_region(region: tuple[float, float]) -> tuple[float, float]:
@@ -163,15 +144,16 @@ def _check_region(region: tuple[float, float]) -> tuple[float, float]:
     return width, height
 
 
-def _to_geo(x: float, y: float, origin: GeoPoint) -> tuple[float, float]:
-    lat = origin.latitude + y / METERS_PER_DEG_LAT
-    if not -90.0 <= lat <= 90.0:
+def _to_geo(x: float, y: float) -> tuple[float, float]:
+    # x, y >= 0 and the origin lies inside the ranges, so only the upper
+    # bounds can be passed
+    lat = ORIGIN_LAT + y / METERS_PER_DEG_LAT
+    if lat > 90.0:
         raise InvalidRegionError(f"region passes a pole: latitude {lat}")
-    lon = origin.longitude + x / (METERS_PER_DEG_LAT * math.cos(math.radians(origin.latitude)))
-    if not -180.0 <= lon < 180.0:
+    lon = ORIGIN_LON + x / (METERS_PER_DEG_LAT * math.cos(math.radians(ORIGIN_LAT)))
+    if lon >= 180.0:
         # wrap across the antimeridian; fmod and the one step after it are
-        # exact.  x >= 0 and the origin is at or east of -180, so lon is
-        # >= 180 here, and its fmod lies in [0, 360)
+        # exact, and the fmod lies in [0, 360)
         lon = math.fmod(lon, 360.0)
         if lon >= 180.0:
             lon -= 360.0
@@ -179,13 +161,13 @@ def _to_geo(x: float, y: float, origin: GeoPoint) -> tuple[float, float]:
 
 
 def _place(rng: Random, node_id: int, width: float, height: float,
-           lo: float, hi: float, origin: GeoPoint) -> tuple[float, float, NodeSpec]:
+           lo: float, hi: float) -> tuple[float, float, NodeSpec]:
     """One node placed uniformly in the box: x, y and the radius are drawn
     in that order.  Returns the box coordinates and the node."""
     x = rng.uniform(0.0, width)
     y = rng.uniform(0.0, height)
     r = lo if lo == hi else rng.uniform(lo, hi)
-    lat, lon = _to_geo(x, y, origin)
+    lat, lon = _to_geo(x, y)
     return x, y, NodeSpec(node_id, lat, lon, r)
 
 
@@ -194,7 +176,6 @@ def generate_scenario(
     region: tuple[float, float],
     radius_law,
     rng_seed: int,
-    origin: GeoPoint = DEFAULT_ORIGIN,
 ) -> Scenario:
     """Place n nodes uniformly in a width x height (meters) box.
 
@@ -208,7 +189,7 @@ def generate_scenario(
     rng = Random(rng_seed)
     xs, ys, nodes = [], [], []
     for i in range(n):
-        x, y, spec = _place(rng, i + 1, width, height, lo, hi, origin)
+        x, y, spec = _place(rng, i + 1, width, height, lo, hi)
         nodes.append(spec)
         xs.append(x)
         ys.append(y)
@@ -225,7 +206,6 @@ def add_random_churn(
     rate: float,
     region: tuple[float, float],
     radius_law,
-    origin: GeoPoint = DEFAULT_ORIGIN,
 ) -> Scenario:
     """Append a join+leave schedule: each round, `rate` fraction of the
     current population joins (fresh ids) and the same count leaves.
@@ -252,7 +232,7 @@ def add_random_churn(
         _replay(live, [ev for ev in scenario.churn if ev.round == r])
         count = int(round(rate * len(live)))
         for _ in range(count):
-            _, _, spec = _place(rng, next_id, width, height, lo, hi, origin)
+            _, _, spec = _place(rng, next_id, width, height, lo, hi)
             events.append(ChurnEvent(r, "join", node=spec))
             live.add(next_id)
             next_id += 1
@@ -269,7 +249,6 @@ def four_node_demo() -> Scenario:
     """Four nodes A(1), B(2), C(3), D(4) arranged so that the big-disk
     node D overlaps everyone, C overlaps only D, and A and B overlap each
     other and D."""
-    origin = DEFAULT_ORIGIN
     placements = [
         (1, 0.0, 0.0, 100.0),    # A
         (2, 150.0, 0.0, 100.0),  # B
@@ -278,7 +257,7 @@ def four_node_demo() -> Scenario:
     ]
     nodes = []
     for nid, x, y, r in placements:
-        lat, lon = _to_geo(x, y, origin)
+        lat, lon = _to_geo(x, y)
         nodes.append(NodeSpec(nid, lat, lon, r))
     return Scenario(nodes=nodes, seeds=[1], rng_seed=1)
 

@@ -25,8 +25,15 @@ from .sampling import (
     merge_random,
     sample_partner,
 )
-from .scenario import ChurnEvent, NodeSpec, Params, Scenario, address_for
+from .scenario import ChurnEvent, NodeSpec, Scenario, address_for
 from .wire import FRAME_LEN, DiscoveryItem
+
+C_RAND = 30  # random-view capacity, in descriptors
+SAMPLE_HALF = C_RAND // 2  # random entries a sampling push adds to the own item
+C_RANK = 20  # ranked-view capacity; pinned candidates stay past it
+P_FAR = 0.1  # chance that an overlay exchange goes to a far link
+RECENT_ROUNDS = 5  # how many of its last overlay targets a node skips
+STALE_ROUNDS = 10  # age, in rounds, past which a ranked-view descriptor is stale
 
 
 class UnknownNodeError(KeyError):
@@ -156,15 +163,13 @@ class _Node:
     __slots__ = ("spec", "address", "random_view", "ranked", "recent",
                  "join_round", "_own")
 
-    def __init__(self, spec: NodeSpec, params: Params, address, join_round: int):
+    def __init__(self, spec: NodeSpec, address, join_round: int):
         self.spec = spec
         self.address = address
         self.join_round = join_round
-        self.random_view = RandomView(spec.node_id, params.c_rand)
-        self.ranked = RankedView(
-            spec.node_id, spec.latitude, spec.longitude, spec.radius, params.c_rank
-        )
-        self.recent: deque[int] = deque(maxlen=params.recent_rounds)
+        self.random_view = RandomView(spec.node_id, C_RAND)
+        self.ranked = RankedView(spec.node_id, spec.latitude, spec.longitude, spec.radius, C_RANK)
+        self.recent: deque[int] = deque(maxlen=RECENT_ROUNDS)
         self._own: DiscoveryItem | None = None
 
     def own_item(self, now_ms: int) -> DiscoveryItem:
@@ -194,6 +199,7 @@ class Simulation:
     def __init__(self, scenario: Scenario, delegates: dict[int, int] | None = None):
         self.scenario = scenario
         self.params = scenario.params
+        self.stale_ms = STALE_ROUNDS * self.params.period_ms
         self.delegates = dict(delegates or {})
         if self.delegates:
             members = {s.node_id for s in scenario.nodes}
@@ -226,7 +232,7 @@ class Simulation:
     def _create_node(self, spec: NodeSpec, join_round: int) -> _Node:
         if spec.node_id in self.nodes:
             raise ValueError(f"node {spec.node_id} already alive")
-        node = _Node(spec, self.params, self._endpoint(spec.node_id), join_round)
+        node = _Node(spec, self._endpoint(spec.node_id), join_round)
         self.nodes[spec.node_id] = node
         return node
 
@@ -246,7 +252,7 @@ class Simulation:
             seeds = [self.nodes[self.rng.choice(others)].own_item(now_ms)]
         if seeds:
             merge_random(node.random_view, seeds, now_ms, self.params.period_ms)
-            node.ranked.merge(seeds, now_ms, self.params.stale_ms)
+            node.ranked.merge(seeds, now_ms, self.stale_ms)
 
     def apply_churn(self, events: list[ChurnEvent], now_ms: int):
         joined: list[_Node] = []
@@ -259,7 +265,10 @@ class Simulation:
                     raise UnknownNodeError(ev.node_id)
                 self.oracle.remove(self.nodes.pop(ev.node_id).spec)
         for node in joined:
-            self._bootstrap_node(node, now_ms, joining=True)
+            # not one that a later event of the round took out again; by
+            # identity, as the same id may have joined once more since
+            if self.nodes.get(node.spec.node_id) is node:
+                self._bootstrap_node(node, now_ms, joining=True)
 
     def _forget(self, node: _Node, dead_id: int):
         node.random_view.drop(dead_id)
@@ -279,31 +288,31 @@ class Simulation:
             self._forget(node, partner_id)
             return
         buf_a = make_push_buffer(
-            node.random_view, node.own_item(now_ms), self.params.sample_half, self.rng
+            node.random_view, node.own_item(now_ms), SAMPLE_HALF, self.rng
         )
         buf_b = make_push_buffer(
-            partner.random_view, partner.own_item(now_ms), self.params.sample_half, self.rng
+            partner.random_view, partner.own_item(now_ms), SAMPLE_HALF, self.rng
         )
         self._record(buf_a)
         self._record(buf_b)
         period_ms = self.params.period_ms
         merge_random(partner.random_view, buf_a, now_ms, period_ms)
-        partner.ranked.merge(buf_a, now_ms, self.params.stale_ms)
+        partner.ranked.merge(buf_a, now_ms, self.stale_ms)
         merge_random(node.random_view, buf_b, now_ms, period_ms)
-        node.ranked.merge(buf_b, now_ms, self.params.stale_ms)
+        node.ranked.merge(buf_b, now_ms, self.stale_ms)
 
     def _overlay_buffer(self, node: _Node, peer: _Node, now_ms: int) -> list[DiscoveryItem]:
         return buffer_for(
             node.ranked, node.random_view, node.own_item(now_ms),
             peer.spec.latitude, peer.spec.longitude, peer.spec.radius,
-            limit=self.params.c_rank + self.params.c_rand,
+            limit=C_RANK + C_RAND,
         )
 
     def _overlay_exchange(self, node: _Node, now_ms: int):
         try:
             target_id = select_target(
-                node.ranked, node.random_view, set(node.recent), self.rng, self.params.p_far,
-                now_ms=now_ms, stale_ms=self.params.stale_ms,
+                node.ranked, node.random_view, set(node.recent), self.rng, P_FAR,
+                now_ms=now_ms, stale_ms=self.stale_ms,
             )
         except EmptyViewError:
             return
@@ -316,8 +325,8 @@ class Simulation:
         buf_b = self._overlay_buffer(target, node, now_ms)
         self._record(buf_a)
         self._record(buf_b)
-        target.ranked.merge(buf_a, now_ms, self.params.stale_ms)
-        node.ranked.merge(buf_b, now_ms, self.params.stale_ms)
+        target.ranked.merge(buf_a, now_ms, self.stale_ms)
+        node.ranked.merge(buf_b, now_ms, self.stale_ms)
 
     # -- rounds -------------------------------------------------------------
 

@@ -16,7 +16,6 @@ from geogossip import simulate
 from geogossip.gateway import select_delegate
 from geogossip.geometry import EARTH_RADIUS_M, distances_np, overlap_area_f
 from geogossip.scenario import (
-    Params,
     add_random_churn,
     address_for,
     four_node_demo,
@@ -32,6 +31,8 @@ from geogossip.spectrum import (
 )
 from geogossip.wire import FRAME_LEN, decode, encode
 from helpers import brute_force_optimum, mc_overlap_area, random_item
+
+pytestmark = pytest.mark.acceptance
 
 REGION = (10_000.0, 10_000.0)
 RADII = (100.0, 600.0)

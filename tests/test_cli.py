@@ -109,13 +109,14 @@ _ONE_NODE = "[nodes]\n1 0.0 0.0 5.0\n\n[seeds]\n1\n\n"
     ["run"], ["churn-run", "--rounds", "2"], ["assign", "--rounds", "2"],
 ], ids=["run", "churn-run", "assign"])
 @pytest.mark.parametrize("text", [
-    "c_rand = abc\n", "c_rand = 0\n", "[nodes]\n1 95.0 0.0 100.0\n\n[seeds]\n1\n",
+    "period_seconds = abc\n", "c_rand = 0\n", "[nodes]\n1 95.0 0.0 100.0\n\n[seeds]\n1\n",
     _ONE_NODE + "[churn]\n-1 leave 1\n",
     _ONE_NODE + "[churn]\n0 leave 2\n",
     _ONE_NODE + "[churn]\n3 join 1 0.0 0.0 5.0\n",
     _ONE_NODE + "[churn]\n0 leave 1\n1 leave 1\n",
     _ONE_NODE + "[churn]\n2 leave 1 junk\n",
-    "c_far = 3\npartner_strategy = oldest\n" + _ONE_NODE,
+    "c_far = 3\npartner_strategy = oldest\nc_rand = 30\nsample_half = 15\nc_rank = 20\n"
+    "p_far = 0.1\nrecent_rounds = 5\nstale_rounds = 10\n" + _ONE_NODE,
 ], ids=["non-numeric", "zero-capacity", "latitude-95", "churn-negative-round",
         "leave-of-non-member", "join-of-live-id", "double-leave", "churn-extra-field",
         "removed-param-keys"])

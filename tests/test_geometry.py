@@ -6,7 +6,6 @@ import pytest
 
 from geogossip.geometry import (
     EARTH_RADIUS_M,
-    GeoPoint,
     distances_np,
     overlap_area_f,
 )
@@ -95,21 +94,6 @@ class TestKernel:
             assert distances_np(*a, *b) == d
             oracle = LatitudeIndex([NodeSpec(1, *a, ra), NodeSpec(2, *b, rb)]).candidates
             assert oracle == ({1: {2}, 2: {1}} if d < ra + rb else {1: set(), 2: set()})
-
-
-class TestValidation:
-    def test_latitude_range(self):
-        with pytest.raises(ValueError):
-            GeoPoint(90.5, 0.0)
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            GeoPoint(float("nan"), 0.0)
-
-    def test_longitude_half_open(self):
-        with pytest.raises(ValueError):
-            GeoPoint(0.0, 180.0)
-        GeoPoint(0.0, -180.0)
 
 
 class TestOverlapArea:

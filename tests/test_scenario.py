@@ -8,9 +8,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from geogossip.geometry import GeoPoint, distances_np
+from geogossip.geometry import distances_np
 from geogossip.scenario import (
     METERS_PER_DEG_LAT,
+    ORIGIN_LAT,
+    ORIGIN_LON,
     ChurnEvent,
     InvalidRegionError,
     NodeSpec,
@@ -26,33 +28,19 @@ from geogossip.scenario import (
     loads,
     save_scenario,
 )
+from geogossip.simulate import Simulation
 
 
 class TestParams:
     def test_defaults(self):
-        p = Params()
-        assert p.c_rand == 30
-        assert p.sample_half == 15
-        assert p.c_rank == 20
-        assert p.p_far == 0.1
-        assert p.period_seconds == 15.0
-        assert p.stale_rounds == 10
+        assert [f.name for f in fields(Params)] == ["period_seconds"]
+        assert Params().period_seconds == 15.0
 
     def test_derived_milliseconds(self):
-        p = Params()
-        assert p.period_ms == 15_000
-        assert p.stale_ms == 150_000
+        assert Params().period_ms == 15_000
+        assert Simulation(four_node_demo()).stale_ms == 150_000
 
     @pytest.mark.parametrize("bad", [
-        {"c_rand": 0},
-        {"c_rank": 0},
-        {"recent_rounds": -1},
-        {"stale_rounds": -1},
-        {"sample_half": 31},
-        {"sample_half": -1},
-        {"p_far": 7.0},
-        {"p_far": -0.1},
-        {"p_far": math.nan},
         {"period_seconds": 0.0},
         {"period_seconds": math.inf},
         {"period_seconds": 1e306},
@@ -169,13 +157,11 @@ class TestGeneration:
         assert a != b
 
     def test_nodes_inside_region(self):
-        origin = GeoPoint(59.91, 10.75)
-        sc = generate_scenario(200, region=(2000.0, 3000.0), radius_law=10.0, rng_seed=5,
-                               origin=origin)
+        sc = generate_scenario(200, region=(2000.0, 3000.0), radius_law=10.0, rng_seed=5)
         for n in sc.nodes:
-            y = (n.latitude - origin.latitude) * METERS_PER_DEG_LAT
-            x = (n.longitude - origin.longitude) * METERS_PER_DEG_LAT * math.cos(
-                math.radians(origin.latitude))
+            y = (n.latitude - ORIGIN_LAT) * METERS_PER_DEG_LAT
+            x = (n.longitude - ORIGIN_LON) * METERS_PER_DEG_LAT * math.cos(
+                math.radians(ORIGIN_LAT))
             assert -1e-6 <= x <= 2000.0 + 1e-6
             assert -1e-6 <= y <= 3000.0 + 1e-6
 
@@ -201,22 +187,26 @@ class TestGeneration:
             generate_scenario(5, region=(100.0, 100.0), radius_law=(20.0, 10.0), rng_seed=1)
 
     def test_region_past_a_pole_rejected(self):
+        # the pole lies about 3,350 km north of the origin
         with pytest.raises(InvalidRegionError):
-            generate_scenario(10, region=(10_000.0, 10_000.0), radius_law=100.0, rng_seed=1,
-                              origin=GeoPoint(89.95, 0.0))
+            generate_scenario(10, region=(10_000.0, 20_000_000.0), radius_law=100.0, rng_seed=1)
+
+    def test_region_across_the_antimeridian_wraps(self):
+        # the antimeridian lies about 9,400 km east of the origin
+        sc = generate_scenario(50, region=(12_000_000.0, 1000.0), radius_law=100.0, rng_seed=1)
+        assert all(-180.0 <= n.longitude < 180.0 for n in sc.nodes)
+        assert any(n.longitude < 0.0 for n in sc.nodes)
 
     def test_uniform_placement_chi_square(self):
         # split the box into a 4x4 grid; occupancy should be uniform
         from scipy.stats import chisquare
 
-        origin = GeoPoint(59.91, 10.75)
-        sc = generate_scenario(3200, region=(4000.0, 4000.0), radius_law=10.0, rng_seed=9,
-                               origin=origin)
+        sc = generate_scenario(3200, region=(4000.0, 4000.0), radius_law=10.0, rng_seed=9)
         cells = Counter()
         for n in sc.nodes:
-            y = (n.latitude - origin.latitude) * METERS_PER_DEG_LAT
-            x = (n.longitude - origin.longitude) * METERS_PER_DEG_LAT * math.cos(
-                math.radians(origin.latitude))
+            y = (n.latitude - ORIGIN_LAT) * METERS_PER_DEG_LAT
+            x = (n.longitude - ORIGIN_LON) * METERS_PER_DEG_LAT * math.cos(
+                math.radians(ORIGIN_LAT))
             cells[(min(int(x // 1000), 3), min(int(y // 1000), 3))] += 1
         _, p = chisquare([cells[(i, j)] for i in range(4) for j in range(4)])
         assert p > 0.01
@@ -292,6 +282,8 @@ class TestChurnSchedule:
 
 
 _ONE_NODE = "[nodes]\n1 0.0 0.0 5.0\n\n[seeds]\n1\n\n"
+# the tunables that were Params fields, each now an unknown header key
+_REMOVED_KEYS = ["c_rand", "sample_half", "c_rank", "p_far", "recent_rounds", "stale_rounds"]
 
 
 class TestFileRoundTrip:
@@ -309,9 +301,24 @@ class TestFileRoundTrip:
         assert loads(dumps(sc)) == sc
 
     def test_params_round_trip(self):
-        sc = replace(four_node_demo(), params=Params(c_rand=12, sample_half=6, p_far=0.25))
+        sc = replace(four_node_demo(), params=Params(period_seconds=2.5))
         back = loads(dumps(sc))
         assert back.params == sc.params
+
+    def test_header_holds_the_seed_and_the_period(self):
+        header = dumps(four_node_demo()).split("\n\n")[0].splitlines()
+        assert [line.split(" = ")[0] for line in header[1:]] == ["rng_seed", "period_seconds"]
+
+    def test_a_header_with_the_tunables_is_refused(self):
+        # the header a file carried while the six tunables were Params fields
+        old = ("rng_seed = 1\nc_rand = 30\nsample_half = 15\nc_rank = 20\np_far = 0.1\n"
+               "recent_rounds = 5\nperiod_seconds = 15.0\nstale_rounds = 10\n\n")
+        text = dumps(four_node_demo())
+        text = old + text[text.index("[nodes]"):]
+        with pytest.raises(ScenarioFormatError) as err:
+            loads(text)
+        for key in _REMOVED_KEYS:
+            assert repr(key) in str(err.value)
 
     def test_file_io(self, tmp_path):
         sc = four_node_demo()
@@ -330,7 +337,7 @@ class TestFileRoundTrip:
             loads("[churn]\n0 crash 1\n")
 
     @pytest.mark.parametrize("text", [
-        "c_rand = abc\n",
+        "period_seconds = abc\n",
         "rng_seed = x\n",
         "c_rand = 0\n",
         "p_far = 7\n",
@@ -339,8 +346,8 @@ class TestFileRoundTrip:
         "sample_half = 99\n",
         "period_seconds = 0\n",
         "no_such_key = 1\n",
-        "c_rand 5\n",
-        "c_rand = 7\nc_rand = 30\n",
+        "period_seconds 5\n",
+        "period_seconds = 7\nperiod_seconds = 30\n",
         "[bogus]\n",
         "[nodes]\n1 95.0 0.0 100.0\n",
         "[nodes]\n1 0.0 0.0 -100.0\n",
@@ -386,18 +393,7 @@ _SPEC = st.builds(NodeSpec, _ID, st.floats(-90.0, 90.0),
                   st.floats(-180.0, 180.0, exclude_max=True), st.floats(0.0, 1e9))
 
 
-@st.composite
-def _params(draw):
-    c_rand = draw(st.integers(1, 100))
-    return Params(
-        c_rand=c_rand,
-        sample_half=draw(st.integers(0, c_rand)),
-        c_rank=draw(st.integers(1, 100)),
-        p_far=draw(st.floats(0.0, 1.0)),
-        recent_rounds=draw(st.integers(0, 20)),
-        period_seconds=draw(st.floats(0.001, 1e6)),
-        stale_rounds=draw(st.integers(0, 100)),
-    )
+_PARAMS = st.builds(Params, st.floats(0.001, 1e6))
 
 
 @st.composite
@@ -418,7 +414,7 @@ def _scenarios(draw):
             live.add(joiner.node_id)
             churn.append(ChurnEvent(rnd, "join", node=joiner))
     return Scenario(nodes=nodes, seeds=draw(st.lists(st.sampled_from(ids), max_size=3)),
-                    params=draw(_params()), churn=churn, rng_seed=draw(st.integers(0, 1 << 64)))
+                    params=draw(_PARAMS), churn=churn, rng_seed=draw(st.integers(0, 1 << 64)))
 
 
 # scenario-shaped text reaches the row and header parsers far more often
@@ -431,7 +427,8 @@ _TOKEN = st.one_of(
 )
 _LINE = st.one_of(
     st.sampled_from(["[nodes]", "[seeds]", "[churn]", "[other]", ""]),
-    st.tuples(st.sampled_from(["rng_seed", "bogus"] + list(Params.__dataclass_fields__)),
+    st.tuples(st.sampled_from(["rng_seed", "bogus"] + list(Params.__dataclass_fields__)
+                              + _REMOVED_KEYS),
               _TOKEN).map(lambda kv: f"{kv[0]} = {kv[1]}"),
     st.lists(_TOKEN, max_size=7).map(" ".join),
     st.text(max_size=20),

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from geogossip.geometry import GeoPoint, distances_np
+from geogossip.geometry import distances_np
 from geogossip.overlay import candidate_list
 from geogossip.scenario import (
     METERS_PER_DEG_LAT,
+    ORIGIN_LAT,
+    ORIGIN_LON,
     ChurnEvent,
     NodeSpec,
     Scenario,
@@ -157,12 +159,16 @@ class TestLatitudeIndex:
         assert any(nid in east and nbrs - east for nid, nbrs in gt.items())
 
     def test_generated_scenario_straddles_the_antimeridian(self):
+        # a generated deployment moved from the origin to (0, 179.95)
         sc = generate_scenario(300, region=(10_000.0, 10_000.0), radius_law=(100.0, 600.0),
-                               rng_seed=4, origin=GeoPoint(0.0, 179.95))
-        gt = LatitudeIndex(sc.nodes).candidates
-        assert gt == exhaustive_candidates(sc.nodes)
-        east = {s.node_id for s in sc.nodes if s.longitude > 0.0}
-        assert 0 < len(east) < len(sc.nodes)
+                               rng_seed=4)
+        specs = [NodeSpec(s.node_id, s.latitude - ORIGIN_LAT,
+                          wrap_lon(s.longitude - ORIGIN_LON + 179.95), s.radius)
+                 for s in sc.nodes]
+        gt = LatitudeIndex(specs).candidates
+        assert gt == exhaustive_candidates(specs)
+        east = {s.node_id for s in specs if s.longitude > 0.0}
+        assert 0 < len(east) < len(specs)
         assert any(nid in east and nbrs - east for nid, nbrs in gt.items())
 
     @settings(max_examples=500, deadline=None)
@@ -357,6 +363,16 @@ class TestDelegation:
         # the top of the id range maps to the top of the endpoint range
         assert address_for((1 << 64) - 1) == IPv6Address("2001:db8::ffff:ffff:ffff:ffff")
 
+    def test_a_delegate_that_leaves_still_fronts_its_clients(self):
+        # the documented limit: the map is fixed for the whole run
+        sc = replace(four_node_demo(), churn=(ChurnEvent(2, "leave", node_id=2),))
+        sim = Simulation(sc, delegates={1: 2})
+        sim.run(5)
+        assert 2 not in sim.nodes
+        now_ms = sim.round * sim.params.period_ms
+        assert sim.nodes[1].own_item(now_ms).address == address_for(2)
+        assert sim.delegates == {1: 2}
+
     @pytest.mark.parametrize("delegates", [
         {5: 5}, {1: 1}, {1: -1}, {-1: 2}, {1: 1 << 64}, {1 << 64: 2}, {1: 99},
     ], ids=["self-unknown-node", "self-live-node", "negative-delegate", "negative-node",
@@ -418,6 +434,20 @@ class TestChurnHandling:
         sim = Simulation(sc)
         sim.step()
         assert sim.nodes[5].random_view.entries
+
+    def test_a_joiner_that_leaves_in_its_own_round_changes_nothing(self):
+        # with the seed gone, bootstrapping the departed joiner would draw a
+        # random introducer from the shared generator and shift the run
+        sc = generate_scenario(60, region=(2000.0, 2000.0), radius_law=(100.0, 300.0),
+                               rng_seed=5)
+        seed_leaves = (ChurnEvent(1, "leave", node_id=sc.seeds[0]),)
+        visitor = NodeSpec(999, sc.nodes[0].latitude, sc.nodes[0].longitude, 200.0)
+        runs = []
+        for churn in (seed_leaves, seed_leaves + (ChurnEvent(3, "join", node=visitor),
+                                                  ChurnEvent(3, "leave", node_id=999))):
+            sim = Simulation(replace(sc, churn=churn))
+            runs.append((sim.run(8).rows, sim.rng.getstate()))
+        assert runs[0] == runs[1]
 
     def test_settled_metric_excludes_new_joiners(self):
         sc = small_scenario(n=60)
