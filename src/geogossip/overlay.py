@@ -12,6 +12,12 @@ gradient is what lets a node walk toward its own neighborhood from a
 distant starting point.  Far links keep the overlay connected and speed
 up discovery for joiners: a far link is a random entry of the node's
 random view, so the peer-sampling layer is their one source.
+
+An exchange buffer is sized to its receiver: every candidate of the peer
+that the sender knows, then the nearest non-candidates, between a ranked
+view's capacity and both views' capacities in all.  It carries the
+distance from the receiver to each item it holds, which the receiver's
+merge scores with instead of calling the kernel again.
 """
 
 from dataclasses import dataclass, field
@@ -74,13 +80,18 @@ class RankedView:
         entered: a non-candidate keyed past the capacity frontier is
         rejected on its key.  The entries kept are those of scoring every
         item and then cutting.
+
+        items is a sequence.  An ``OverlayBuffer`` built for this view's
+        owner brings the distances to score with; any other sequence is
+        scored with the kernel.
         """
-        pending: dict[int, DiscoveryItem] = {}
+        # node id -> position in items of the copy to enter
+        pending: dict[int, int] = {}
         own = self.owner_id
         entries = self.entries
         entries_get = entries.get
         pending_get = pending.get
-        for item in items:
+        for pos, item in enumerate(items):
             nid = item.node_id
             if nid == own:
                 continue
@@ -88,8 +99,8 @@ class RankedView:
             # the copy to beat
             prev = pending_get(nid)
             if prev is not None:
-                if item.timestamp_ms > prev.timestamp_ms:
-                    pending[nid] = item
+                if item.timestamp_ms > items[prev].timestamp_ms:
+                    pending[nid] = pos
                 continue
             cur = entries_get(nid)
             if cur is not None:
@@ -100,7 +111,7 @@ class RankedView:
                         and item.radius == cur.item.radius):
                     cur.item = item
                     continue
-            pending[nid] = item
+            pending[nid] = pos
         # staleness applies to non-candidates only: a pinned candidate must
         # never drop out while its node is alive (refresh gossip can lag past
         # any fixed window); dead candidates are removed by failed-contact
@@ -120,7 +131,16 @@ class RankedView:
                 default=float("inf"),
             )
         if pending:
-            self._admit(list(pending.values()), cutoff)
+            positions = list(pending.values())
+            batch = [items[p] for p in positions]
+            if isinstance(items, OverlayBuffer) and items.receiver == (self.lat, self.lon):
+                carried = items.dists
+                dists = [carried[p] for p in positions]
+            else:
+                dists = distances_np(self.lat, self.lon,
+                                     np.array([it.latitude for it in batch]),
+                                     np.array([it.longitude for it in batch])).tolist()
+            self._admit(batch, dists, cutoff)
         if len(entries) > self.capacity:
             ranked = sorted(entries.values(), key=_entry_key)
             # the cut keeps every entry ranked inside capacity, so this is
@@ -130,10 +150,10 @@ class RankedView:
                 if not e.candidate:
                     del entries[e.item.node_id]
 
-    def _admit(self, items: list[DiscoveryItem], cutoff: int):
-        """Score and enter the pending items that the stale and capacity
-        cuts would keep, once the entries they replace (moved or rejoined
-        nodes) have left."""
+    def _admit(self, items: list[DiscoveryItem], dists: list[float], cutoff: int):
+        """Score and enter the pending items, at the given distances from
+        the owner, that the stale and capacity cuts would keep, once the
+        entries they replace (moved or rejoined nodes) have left."""
         entries = self.entries
         for item in items:
             if item.node_id in entries:
@@ -141,9 +161,6 @@ class RankedView:
                 self._frontier = None
         frontier = self._frontier
         radius = self.radius
-        dists = distances_np(self.lat, self.lon,
-                             np.array([it.latitude for it in items]),
-                             np.array([it.longitude for it in items])).tolist()
         for item, dist in zip(items, dists):
             if dist < radius + item.radius:
                 entries[item.node_id] = RankedEntry(
@@ -197,34 +214,59 @@ def select_target(view: RankedView, random_view: RandomView,
     raise EmptyViewError(f"node {view.owner_id} has no overlay target")
 
 
+class OverlayBuffer(list):
+    """An overlay exchange buffer: the items to send, and in ``dists`` the
+    kernel distance from the receiving peer, at ``receiver`` = (latitude,
+    longitude), to each item, in the same order.
+
+    The receiver's ``RankedView.merge`` scores the items from these
+    distances instead of calling the kernel again; the kernel gives the
+    same bits whatever the shape of the call, so the entries are those of
+    merging the plain list.
+    """
+
+    __slots__ = ("dists", "receiver")
+
+    def __init__(self, items, dists: list[float], receiver: tuple[float, float]):
+        super().__init__(items)
+        self.dists = dists
+        self.receiver = receiver
+
+
 def buffer_for(view: RankedView, random_view: RandomView,
                own_item: DiscoveryItem,
-               peer_lat: float, peer_lon: float, peer_radius: float,
-               limit: int) -> list[DiscoveryItem]:
-    """Exchange buffer tailored to the receiving peer.
+               peer_lat: float, peer_lon: float, peer_radius: float) -> OverlayBuffer:
+    """Exchange buffer sized to the receiving peer.
 
-    Own fresh descriptor first, then the known items most relevant to the
-    peer: smallest gap between center distance and combined radii, i.e.
-    candidates of the peer before near misses before far strangers.  A
-    pool that fits the limit is sent whole, in no particular order: the
-    receiver keys everything by node id.
+    The pool is every item the sender knows, in its ranked view and its
+    random view, less its own id.  Each pool item's gap is its center
+    distance to the peer minus their combined radii, negative for a
+    candidate of the peer.  The buffer holds the own fresh descriptor,
+    then the first n pool items in (gap, node id) order, where
+    n = min(max(k + 1, c_rank), c_rank + c_rand), k is the number of
+    pool items with a negative gap, and c_rank and c_rand are the
+    capacities of the sender's ranked and random views.  That is every
+    candidate of the peer that the sender knows and the nearest
+    non-candidate, at least a ranked view's worth and never more than
+    both views hold.
     """
     pool: dict[int, DiscoveryItem] = {e.item.node_id: e.item for e in view.entries.values()}
     for desc in random_view.entries.values():
         pool.setdefault(desc.item.node_id, desc.item)
     pool.pop(own_item.node_id, None)
-    items = list(pool.values())
-    if len(items) <= limit:
-        return [own_item] + items
+    items = [own_item, *pool.values()]
     dists = distances_np(peer_lat, peer_lon,
                          np.array([it.latitude for it in items]),
                          np.array([it.longitude for it in items]))
-    scored = [
-        (float(d) - (peer_radius + item.radius), item.node_id, item)
-        for item, d in zip(items, dists)
-    ]
-    scored.sort(key=lambda t: (t[0], t[1]))
-    return [own_item] + [t[2] for t in scored[:limit]]
+    gaps = dists - (peer_radius + np.array([it.radius for it in items]))
+    gaps[0] = -np.inf  # the own item leads
+    order = np.lexsort((np.array([it.node_id for it in items], dtype=np.uint64), gaps))
+    # the own item and the k pool items with a negative gap
+    k_plus_one = int(np.count_nonzero(gaps < 0.0))
+    size = view.capacity
+    chosen = order[:min(max(k_plus_one, size), size + random_view.capacity) + 1]
+    return OverlayBuffer([items[p] for p in chosen.tolist()], dists[chosen].tolist(),
+                         (peer_lat, peer_lon))
 
 
 def candidate_list(view: RankedView) -> list[tuple[DiscoveryItem, float]]:

@@ -17,7 +17,7 @@ from random import Random
 import numpy as np
 
 from .geometry import METERS_PER_DEG_LAT, distances_np
-from .overlay import RankedView, buffer_for, candidate_list, select_target
+from .overlay import OverlayBuffer, RankedView, buffer_for, candidate_list, select_target
 from .sampling import (
     EmptyViewError,
     RandomView,
@@ -301,11 +301,10 @@ class Simulation:
         merge_random(node.random_view, buf_b, now_ms, period_ms)
         node.ranked.merge(buf_b, now_ms, self.stale_ms)
 
-    def _overlay_buffer(self, node: _Node, peer: _Node, now_ms: int) -> list[DiscoveryItem]:
+    def _overlay_buffer(self, node: _Node, peer: _Node, now_ms: int) -> OverlayBuffer:
         return buffer_for(
             node.ranked, node.random_view, node.own_item(now_ms),
             peer.spec.latitude, peer.spec.longitude, peer.spec.radius,
-            limit=C_RANK + C_RAND,
         )
 
     def _overlay_exchange(self, node: _Node, now_ms: int):

@@ -251,11 +251,14 @@ def test_10_privacy_delegation(report, monkeypatch):
 
     # every buffer the engine sends comes from one of these two builders
     emitted = set()
+    seen = 0
 
     def collecting(build):
         def wrapped(*args, **kwargs):
+            nonlocal seen
             buf = build(*args, **kwargs)
             emitted.update((item.node_id, item.address) for item in buf)
+            seen += len(buf)
             return buf
         return wrapped
 
@@ -276,5 +279,7 @@ def test_10_privacy_delegation(report, monkeypatch):
     # each delegated node was heard, under its delegate's endpoint
     fronted_ok = {nid for nid, addr in emitted
                   if nid in delegates and addr == address_for(delegates[nid])} == set(delegates)
-    report(10, "privacy delegation", same_lists and not leaked and fronted_ok,
+    # the wrappers saw every item the engine counted as sent
+    all_seen = seen == fronted.series.total_descriptors
+    report(10, "privacy delegation", same_lists and not leaked and fronted_ok and all_seen,
            f"{len(privacy)} delegated nodes, identical lists, no own endpoint emitted")

@@ -117,7 +117,7 @@ _ONE_NODE = "[nodes]\n1 0.0 0.0 5.0\n\n[seeds]\n1\n\n"
     _ONE_NODE + "[churn]\n2 leave 1 junk\n",
     "c_far = 3\npartner_strategy = oldest\nc_rand = 30\nsample_half = 15\nc_rank = 20\n"
     "p_far = 0.1\nrecent_rounds = 5\nstale_rounds = 10\n" + _ONE_NODE,
-], ids=["non-numeric", "zero-capacity", "latitude-95", "churn-negative-round",
+], ids=["non-numeric", "removed-key-c-rand", "latitude-95", "churn-negative-round",
         "leave-of-non-member", "join-of-live-id", "double-leave", "churn-extra-field",
         "removed-param-keys"])
 def test_invalid_scenario_exits_2(command, text, tmp_path, capsys):

@@ -1,10 +1,14 @@
+import copy
 import math
 from dataclasses import replace
 from ipaddress import IPv4Address
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from geogossip import overlay
 from geogossip.geometry import EARTH_RADIUS_M, distances_np, overlap_area_f
 from geogossip.overlay import (
     RankedView,
@@ -13,6 +17,7 @@ from geogossip.overlay import (
     select_target,
 )
 from geogossip.sampling import EmptyViewError, RandomView
+from geogossip.simulate import C_RAND, C_RANK
 from geogossip.wire import DiscoveryItem
 from helpers import ReferenceRankedView, entry_bits
 
@@ -216,13 +221,28 @@ class TestSelectTarget:
 
 
 class TestBufferFor:
+    PEER = (10_000.0 / DEG_M, 0.0, 500.0)  # 10 km north of the sender
+
+    @staticmethod
+    def sender(ranked=(), rand=(), capacity=C_RANK):
+        """Views of node 1 at the origin, with the engine's capacities
+        unless told otherwise: the buffer's bounds come from them."""
+        view = view_at(owner_id=1, radius=500.0, capacity=capacity)
+        if ranked:
+            view.merge(list(ranked), now_ms=2000, stale_ms=10**9)
+        rv = RandomView(1, C_RAND)
+        if rand:
+            rv.merge(list(rand), now_ms=2000, period_ms=15_000)
+        return view, rv
+
     def test_own_item_first_and_peer_tailored(self):
-        view = view_at(owner_id=1, radius=500.0)
+        # a ranked view of capacity 1 and no candidate of the peer known:
+        # the buffer is the own item and the pool item nearest the peer
         near_me = item_at(2, 100.0, 0.0, 50.0)
-        near_peer = item_at(3, 9900.0, 0.0, 50.0)
-        view.merge([near_me, near_peer], now_ms=2000, stale_ms=10**9)
+        near_peer = item_at(3, 9000.0, 0.0, 50.0)
+        view, rv = self.sender(ranked=[near_me], rand=[near_peer], capacity=1)
         own = item_at(1, 0.0, 0.0, 500.0)
-        buf = buffer_for(view, RandomView(1, 10), own, 10_000.0 / DEG_M, 0.0, 500.0, limit=1)
+        buf = buffer_for(view, rv, own, *self.PEER)
         assert buf[0] is own
         assert [i.node_id for i in buf[1:]] == [3]
 
@@ -230,7 +250,7 @@ class TestBufferFor:
         view = view_at(owner_id=1, radius=500.0)
         rv = random_view_with(1, [item_at(9, 9800.0, 0.0, 50.0)])
         own = item_at(1, 0.0, 0.0, 500.0)
-        buf = buffer_for(view, rv, own, 10_000.0 / DEG_M, 0.0, 500.0, limit=5)
+        buf = buffer_for(view, rv, own, *self.PEER)
         assert 9 in {i.node_id for i in buf}
 
     def test_own_id_not_duplicated(self):
@@ -238,9 +258,61 @@ class TestBufferFor:
         view.merge([item_at(2, 100.0, 0.0, 50.0)], now_ms=2000, stale_ms=10**9)
         rv = random_view_with(1, [item_at(1, 0.0, 0.0, 500.0, ts=1)])
         own = item_at(1, 0.0, 0.0, 500.0, ts=999)
-        buf = buffer_for(view, rv, own, 0.0, 0.0, 500.0, limit=5)
+        buf = buffer_for(view, rv, own, 0.0, 0.0, 500.0)
         assert [i.node_id for i in buf].count(1) == 1
         assert buf[0].timestamp_ms == 999
+
+    def test_every_known_candidate_of_the_peer_and_one_more(self):
+        # 25 candidates of a peer beside the sender, more than C_RANK; the
+        # sender pins them all, as they overlap its own area too
+        cands = [item_at(i, 20.0 * i, 0.0, 100.0) for i in range(2, 27)]
+        misses = [item_at(i, 3000.0 + 100.0 * i, 0.0, 10.0) for i in range(100, 110)]
+        view, rv = self.sender(ranked=cands, rand=misses)
+        assert len(view.entries) == 25 > C_RANK
+        buf = buffer_for(view, rv, item_at(1, 0.0, 0.0, 500.0), 0.0, 0.0, 500.0)
+        assert [i.node_id for i in buf] == [1] + list(range(2, 27)) + [100]
+
+    def test_size_clamps_at_c_rank_and_at_c_rank_plus_c_rand(self):
+        own = item_at(1, 0.0, 0.0, 500.0)
+        # no candidate of the peer: C_RANK items besides the own one
+        misses = [item_at(i, 200_000.0 + 100.0 * i, 0.0, 10.0) for i in range(100, 130)]
+        view, rv = self.sender(rand=misses)
+        buf = buffer_for(view, rv, own, 0.0, 0.0, 500.0)
+        assert [i.node_id for i in buf] == [1] + list(range(100, 100 + C_RANK))
+        # 60 candidates of the peer: C_RANK + C_RAND of them, the nearest
+        cands = [item_at(i, 5.0 * i, 0.0, 100.0) for i in range(2, 62)]
+        view, rv = self.sender(ranked=cands)
+        assert len(view.entries) == 60
+        buf = buffer_for(view, rv, own, 0.0, 0.0, 500.0)
+        assert [i.node_id for i in buf] == [1] + list(range(2, 2 + C_RANK + C_RAND))
+
+    def test_small_pool_sent_whole(self):
+        pool = [item_at(i, 1000.0 * i, 0.0, 10.0) for i in range(2, 7)]
+        view, rv = self.sender(ranked=pool[:2], rand=pool[2:])
+        buf = buffer_for(view, rv, item_at(1, 0.0, 0.0, 500.0), *self.PEER)
+        assert len(buf) == 1 + len(pool) < 1 + C_RANK
+        assert {i.node_id for i in buf} == set(range(1, 7))
+
+    def test_order_is_gap_then_node_id(self):
+        # node 9 and node 4 tie on the gap; node 7 is a candidate of the
+        # peer, though farther from it than node 5, which is not
+        peer = (0.0, 0.0, 100.0)
+        items = [item_at(9, 1000.0, 0.0, 10.0), item_at(4, 1000.0, 0.0, 10.0),
+                 item_at(7, 600.0, 0.0, 550.0), item_at(5, 500.0, 0.0, 10.0),
+                 item_at(3, 5000.0, 0.0, 10.0)]
+        view, rv = self.sender(rand=items)
+        buf = buffer_for(view, rv, item_at(1, 0.0, 0.0, 500.0), *peer)
+        assert [i.node_id for i in buf] == [1, 7, 5, 4, 9, 3]
+        gaps = [d - (peer[2] + it.radius) for it, d in zip(buf[1:], buf.dists[1:])]
+        assert gaps == sorted(gaps)
+
+    def test_carries_the_kernel_distance_from_the_peer(self):
+        items = [item_at(i, 700.0 * i, 300.0 * i, 10.0) for i in range(2, 30)]
+        view, rv = self.sender(ranked=items[:15], rand=items[15:])
+        buf = buffer_for(view, rv, item_at(1, 0.0, 0.0, 500.0), *self.PEER)
+        assert buf.receiver == self.PEER[:2]
+        assert buf.dists == [float(distances_np(*self.PEER[:2], it.latitude, it.longitude))
+                             for it in buf]
 
 
 class TestCandidateList:
@@ -409,3 +481,70 @@ class TestMergeMatchesScoringEverything:
             v.merge([ulp], now_ms=2000, stale_ms=10**9)
         assert sorted(view.entries) == [3]
         assert entry_bits(view) == entry_bits(ref)
+
+
+class TestCarriedDistances:
+    """A buffer from buffer_for carries the receiver's distances to its
+    items; merging it must leave what merging the plain list, which calls
+    the kernel, leaves."""
+
+    @staticmethod
+    def views(seed):
+        """A receiver's ranked view after a stream of merges and drops, and
+        a buffer for it from a sender that heard part of the same stream."""
+        stream = _Stream(seed)
+        rng = Random(seed)
+        receiver = RankedView(1, stream.lat, stream.lon, stream.radius, stream.capacity)
+        sender_id = rng.choice(stream.ids)
+        lat, lon = stream.position(sender_id, stream.now_ms)
+        sender = RankedView(sender_id, lat, lon, stream.radii[sender_id], rng.randint(1, 8))
+        rv = RandomView(sender_id, rng.randint(1, 10))
+        for op, arg in stream.steps(rng.randint(0, 40)):
+            if op == "drop":
+                receiver.drop(arg)
+                continue
+            receiver.merge(arg, stream.now_ms, stream.stale_ms)
+            if arg and rng.random() < 0.5:
+                sender.merge(arg, stream.now_ms, stream.stale_ms)
+                rv.merge(arg, stream.now_ms, PERIOD_MS)
+        own = stream.item(sender_id, stream.now_ms)
+        buf = buffer_for(sender, rv, own, stream.lat, stream.lon, stream.radius)
+        return stream, receiver, buf
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_same_entries_as_recomputing(self, seed):
+        stream, receiver, buf = self.views(seed)
+        carried, recomputed = copy.deepcopy(receiver), copy.deepcopy(receiver)
+        carried.merge(buf, stream.now_ms, stream.stale_ms)
+        recomputed.merge(list(buf), stream.now_ms, stream.stale_ms)
+        assert entry_bits(carried) == entry_bits(recomputed)
+        assert ({nid: repr(e.utility) for nid, e in carried.entries.items()}
+                == {nid: repr(e.utility) for nid, e in recomputed.entries.items()})
+        assert repr(carried._frontier) == repr(recomputed._frontier)
+        assert carried._min_ts == recomputed._min_ts
+
+    def test_carried_merge_calls_no_kernel(self, monkeypatch):
+        calls = []
+        kernel = overlay.distances_np
+        monkeypatch.setattr(overlay, "distances_np", lambda *a: calls.append(a) or kernel(*a))
+        merged = 0
+        for seed in range(50):
+            stream, receiver, buf = self.views(seed)
+            before = len(calls)
+            receiver.merge(buf, stream.now_ms, stream.stale_ms)
+            assert len(calls) == before
+            receiver.merge(list(buf), stream.now_ms, stream.stale_ms)
+            merged += len(buf) > 1
+        assert merged > 25
+
+    def test_other_receiver_recomputes(self):
+        # a buffer merged into a view it was not built for is scored anew
+        stream, receiver, buf = self.views(7)
+        assert len(buf) > 1
+        elsewhere = RankedView(1, stream.lat / 2.0, stream.lon, stream.radius, stream.capacity)
+        assert (elsewhere.lat, elsewhere.lon) != buf.receiver
+        plain = copy.deepcopy(elsewhere)
+        elsewhere.merge(buf, stream.now_ms, stream.stale_ms)
+        plain.merge(list(buf), stream.now_ms, stream.stale_ms)
+        assert entry_bits(elsewhere) == entry_bits(plain)

@@ -358,9 +358,9 @@ class TestFileRoundTrip:
         _ONE_NODE + "[churn]\n3 join 1 0.0 0.0 5.0\n",
         _ONE_NODE + "[churn]\n0 leave 1\n1 leave 1\n",
         _ONE_NODE + "[churn]\n2 leave 1 junk\n",
-    ], ids=["non-numeric-param", "non-numeric-seed", "zero-capacity", "p-far-above-1",
+    ], ids=["non-numeric-param", "non-numeric-seed", "removed-key-c-rand", "removed-key-p-far",
             "removed-key-partner-strategy", "removed-key-c-far",
-            "sample-half-above-c-rand", "zero-period", "unknown-key",
+            "removed-key-sample-half", "zero-period", "unknown-key",
             "header-without-equals", "repeated-key", "empty-unknown-section",
             "node-latitude-95", "node-negative-radius",
             "churn-missing-field", "joiner-latitude-95", "churn-negative-round",
