@@ -20,8 +20,7 @@ distance from the receiver to each item it holds, which the receiver's
 merge scores with instead of calling the kernel again.
 """
 
-from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import itemgetter
 from random import Random
 
 import numpy as np
@@ -31,31 +30,25 @@ from .sampling import EmptyViewError, RandomView
 from .wire import DiscoveryItem
 
 
-@dataclass
-class RankedEntry:
-    item: DiscoveryItem
-    utility: float
-    dist: float
-    candidate: bool
-    # utility descending, then distance ascending as the below-horizon
-    # gradient, node id as the final deterministic tie-break
-    key: tuple = field(init=False)
-
-    def __post_init__(self):
-        self.key = (-self.utility, self.dist, self.item.node_id)
-
-
-_entry_key = attrgetter("key")
-
-
 class RankedView:
+    """``entries`` maps a node id to its pair (item, utility), ``keys`` to
+    its rank key (-utility, distance, id): utility descending, then
+    distance as the below-horizon gradient, then id.  An entry is a
+    candidate when its distance is under the two radii's sum; a nonzero
+    utility is a candidate's, so hot paths test the distance only at zero.
+    The pair is the one object per entry that the collector tracks (a key
+    of floats and an int it untracks), and ``candidate_list`` returns the
+    pairs themselves, so listing candidates sets off no full collector pass.
+    """
+
     def __init__(self, owner_id: int, lat: float, lon: float, radius: float, capacity: int):
         self.owner_id = owner_id
         self.lat = lat
         self.lon = lon
         self.radius = radius
         self.capacity = capacity
-        self.entries: dict[int, RankedEntry] = {}
+        self.entries: dict[int, tuple[DiscoveryItem, float]] = {}
+        self.keys: dict[int, tuple[float, float, int]] = {}
         # conservative lower bound on the oldest non-candidate timestamp;
         # lets merge skip the staleness scan while everything is fresh
         self._min_ts = float("inf")
@@ -66,10 +59,13 @@ class RankedView:
 
     def drop(self, node_id: int):
         self.entries.pop(node_id, None)
+        self.keys.pop(node_id, None)
         self._frontier = None
 
     def candidate_ids(self) -> set[int]:
-        return {nid for nid, e in self.entries.items() if e.candidate}
+        radius, entries = self.radius, self.entries
+        return {nid for u, dist, nid in self.keys.values()
+                if u or dist < radius + entries[nid][0].radius}
 
     def merge(self, items, now_ms: int, stale_ms: int):
         """Fold received items in: keep the freshest copy per id, re-score
@@ -88,7 +84,7 @@ class RankedView:
         # node id -> position in items of the copy to enter
         pending: dict[int, int] = {}
         own = self.owner_id
-        entries = self.entries
+        entries, keys, radius = self.entries, self.keys, self.radius
         entries_get = entries.get
         pending_get = pending.get
         for pos, item in enumerate(items):
@@ -104,12 +100,14 @@ class RankedView:
                 continue
             cur = entries_get(nid)
             if cur is not None:
-                if item.timestamp_ms <= cur.item.timestamp_ms:
+                held = cur[0]
+                if item.timestamp_ms <= held.timestamp_ms:
                     continue
-                if (item.latitude == cur.item.latitude
-                        and item.longitude == cur.item.longitude
-                        and item.radius == cur.item.radius):
-                    cur.item = item
+                if (item.latitude == held.latitude
+                        and item.longitude == held.longitude
+                        and item.radius == held.radius):
+                    # same place, same key: the fresher copy takes the pair
+                    entries[nid] = (item, cur[1])
                     continue
             pending[nid] = pos
         # staleness applies to non-candidates only: a pinned candidate must
@@ -118,16 +116,15 @@ class RankedView:
         # detection instead
         cutoff = now_ms - stale_ms
         if self._min_ts < cutoff:
-            stale = [
-                nid for nid, e in entries.items()
-                if not e.candidate and e.item.timestamp_ms < cutoff
-            ]
+            others = [item for nid, (item, _) in entries.items()
+                      if not keys[nid][1] < radius + item.radius]
+            stale = [item.node_id for item in others if item.timestamp_ms < cutoff]
             if stale:
                 for nid in stale:
-                    del entries[nid]
+                    del entries[nid], keys[nid]
                 self._frontier = None
             self._min_ts = min(
-                (e.item.timestamp_ms for e in entries.values() if not e.candidate),
+                (item.timestamp_ms for item in others if item.timestamp_ms >= cutoff),
                 default=float("inf"),
             )
         if pending:
@@ -142,35 +139,38 @@ class RankedView:
                                      np.array([it.longitude for it in batch])).tolist()
             self._admit(batch, dists, cutoff)
         if len(entries) > self.capacity:
-            ranked = sorted(entries.values(), key=_entry_key)
+            ranked = sorted(keys.values())
             # the cut keeps every entry ranked inside capacity, so this is
             # the frontier of the entries that remain
-            self._frontier = ranked[self.capacity - 1].key
-            for e in ranked[self.capacity:]:
-                if not e.candidate:
-                    del entries[e.item.node_id]
+            self._frontier = ranked[self.capacity - 1]
+            for u, dist, nid in ranked[self.capacity:]:
+                if not u and not dist < radius + entries[nid][0].radius:
+                    del entries[nid], keys[nid]
 
     def _admit(self, items: list[DiscoveryItem], dists: list[float], cutoff: int):
         """Score and enter the pending items, at the given distances from
         the owner, that the stale and capacity cuts would keep, once the
         entries they replace (moved or rejoined nodes) have left."""
-        entries = self.entries
+        entries, keys = self.entries, self.keys
         for item in items:
             if item.node_id in entries:
-                del entries[item.node_id]
+                del entries[item.node_id], keys[item.node_id]
                 self._frontier = None
         frontier = self._frontier
         radius = self.radius
         for item, dist in zip(items, dists):
+            nid = item.node_id
             if dist < radius + item.radius:
-                entries[item.node_id] = RankedEntry(
-                    item, overlap_area_f(dist, radius, item.radius), dist, True)
+                utility = overlap_area_f(dist, radius, item.radius)
+                entries[nid] = (item, utility)
+                keys[nid] = (-utility, dist, nid)
                 continue
             ts = item.timestamp_ms
-            # (-0.0, dist, id) is the key of a non-candidate's entry
-            if ts < cutoff or (frontier is not None and (-0.0, dist, item.node_id) > frontier):
+            key = (-0.0, dist, nid)
+            if ts < cutoff or (frontier is not None and key > frontier):
                 continue
-            entries[item.node_id] = RankedEntry(item, 0.0, dist, False)
+            entries[nid] = (item, 0.0)
+            keys[nid] = key
             if ts < self._min_ts:
                 self._min_ts = ts
 
@@ -192,21 +192,16 @@ def select_target(view: RankedView, random_view: RandomView,
     if far and rng.random() < p_far:
         return rng.choice(sorted(far))
     cutoff = now_ms - stale_ms
+    radius, keys = view.radius, view.keys
     stale = [
-        e for nid, e in view.entries.items()
-        if e.candidate and nid not in recent and e.item.timestamp_ms < cutoff
+        item for nid, (item, _) in view.entries.items()
+        if item.timestamp_ms < cutoff and nid not in recent and keys[nid][1] < radius + item.radius
     ]
     if stale:
-        stale.sort(key=lambda e: (e.item.timestamp_ms, e.item.node_id))
-        return stale[0].item.node_id
-    best = None
-    for entry in view.entries.values():
-        if entry.item.node_id in recent:
-            continue
-        if best is None or entry.key < best.key:
-            best = entry
+        return min(stale, key=lambda it: (it.timestamp_ms, it.node_id)).node_id
+    best = min((key for nid, key in keys.items() if nid not in recent), default=None)
     if best is not None:
-        return best.item.node_id
+        return best[2]
     if far:
         return rng.choice(sorted(far))
     if view.entries:
@@ -250,7 +245,7 @@ def buffer_for(view: RankedView, random_view: RandomView,
     non-candidate, at least a ranked view's worth and never more than
     both views hold.
     """
-    pool: dict[int, DiscoveryItem] = {e.item.node_id: e.item for e in view.entries.values()}
+    pool: dict[int, DiscoveryItem] = {nid: item for nid, (item, _) in view.entries.items()}
     for desc in random_view.entries.values():
         pool.setdefault(desc.item.node_id, desc.item)
     pool.pop(own_item.node_id, None)
@@ -276,8 +271,13 @@ def candidate_list(view: RankedView) -> list[tuple[DiscoveryItem, float]]:
     Every item a node merges reaches its ranked view, and a candidate
     leaves it only when its node is found dead, so no other view knows a
     candidate this one lacks.
+
+    The list holds the view's own pairs, sorted by id and then stably by
+    utility, with no key tuple: it allocates nothing per candidate.
     """
-    return sorted(
-        ((e.item, e.utility) for e in view.entries.values() if e.candidate),
-        key=lambda pair: (-pair[1], pair[0].node_id),
-    )
+    radius, entries = view.radius, view.entries
+    pairs = [entries[nid] for u, dist, nid in view.keys.values()
+             if u or dist < radius + entries[nid][0].radius]
+    pairs.sort(key=lambda pair: pair[0].node_id)
+    pairs.sort(key=itemgetter(1), reverse=True)
+    return pairs

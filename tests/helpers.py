@@ -2,13 +2,13 @@
 
 import itertools
 import math
+from dataclasses import dataclass
 from ipaddress import IPv4Address, IPv6Address
 from random import Random
 
 import numpy as np
 
 from geogossip.geometry import distances_np, overlap_area_f
-from geogossip.overlay import RankedEntry
 from geogossip.wire import DiscoveryItem
 
 
@@ -47,12 +47,27 @@ def mc_overlap_area(r1: float, r2: float, d: float, samples: int, seed: int) -> 
     return disk1 * p, stderr
 
 
+@dataclass
+class Scored:
+    """The reference view's record of one entry: its own scoring's result."""
+    item: DiscoveryItem
+    utility: float
+    dist: float
+    candidate: bool
+
+    @property
+    def key(self) -> tuple[float, float, int]:
+        return (-self.utility, self.dist, self.item.node_id)
+
+
 class ReferenceRankedView:
     """The ranked-view merge that scores every pending item and then cuts.
 
     This is how RankedView.merge worked before it learned to reject items
     ahead of scoring; tests drive both with the same streams and require
-    the same entries after every call.
+    the same entries after every call.  It stores each entry's candidacy
+    as scored, where RankedView reads it off the key's distance, and shows
+    its records as RankedView's ``entries`` and ``keys``.
     """
 
     def __init__(self, owner_id: int, lat: float, lon: float, radius: float, capacity: int):
@@ -61,13 +76,24 @@ class ReferenceRankedView:
         self.lon = lon
         self.radius = radius
         self.capacity = capacity
-        self.entries: dict[int, RankedEntry] = {}
+        self.records: dict[int, Scored] = {}
         self._min_ts = float("inf")
 
-    def drop(self, node_id: int):
-        self.entries.pop(node_id, None)
+    @property
+    def entries(self) -> dict[int, tuple[DiscoveryItem, float]]:
+        return {nid: (e.item, e.utility) for nid, e in self.records.items()}
 
-    def score(self, items: list[DiscoveryItem]) -> list[RankedEntry]:
+    @property
+    def keys(self) -> dict[int, tuple[float, float, int]]:
+        return {nid: e.key for nid, e in self.records.items()}
+
+    def candidate_ids(self) -> set[int]:
+        return {nid for nid, e in self.records.items() if e.candidate}
+
+    def drop(self, node_id: int):
+        self.records.pop(node_id, None)
+
+    def score(self, items: list[DiscoveryItem]) -> list[Scored]:
         dists = distances_np(self.lat, self.lon,
                              np.array([it.latitude for it in items]),
                              np.array([it.longitude for it in items]))
@@ -76,9 +102,9 @@ class ReferenceRankedView:
             dist = float(dist)
             if dist < self.radius + item.radius:
                 util = overlap_area_f(dist, self.radius, item.radius)
-                scored.append(RankedEntry(item, util, dist, True))
+                scored.append(Scored(item, util, dist, True))
             else:
-                scored.append(RankedEntry(item, 0.0, dist, False))
+                scored.append(Scored(item, 0.0, dist, False))
         return scored
 
     def merge(self, items, now_ms: int, stale_ms: int):
@@ -92,7 +118,7 @@ class ReferenceRankedView:
                 if item.timestamp_ms > prev.timestamp_ms:
                     pending[nid] = item
                 continue
-            cur = self.entries.get(nid)
+            cur = self.records.get(nid)
             if cur is not None:
                 if item.timestamp_ms <= cur.item.timestamp_ms:
                     continue
@@ -106,30 +132,35 @@ class ReferenceRankedView:
             for e in self.score(list(pending.values())):
                 if not e.candidate and e.item.timestamp_ms < self._min_ts:
                     self._min_ts = e.item.timestamp_ms
-                self.entries[e.item.node_id] = e
+                self.records[e.item.node_id] = e
         cutoff = now_ms - stale_ms
         if self._min_ts < cutoff:
             stale = [
-                nid for nid, e in self.entries.items()
+                nid for nid, e in self.records.items()
                 if not e.candidate and e.item.timestamp_ms < cutoff
             ]
             for nid in stale:
-                del self.entries[nid]
+                del self.records[nid]
             self._min_ts = min(
-                (e.item.timestamp_ms for e in self.entries.values() if not e.candidate),
+                (e.item.timestamp_ms for e in self.records.values() if not e.candidate),
                 default=float("inf"),
             )
-        if len(self.entries) > self.capacity:
-            ranked = sorted(self.entries.values(), key=lambda e: e.key)
+        if len(self.records) > self.capacity:
+            ranked = sorted(self.records.values(), key=lambda e: e.key)
             for e in ranked[self.capacity:]:
                 if not e.candidate:
-                    del self.entries[e.item.node_id]
+                    del self.records[e.item.node_id]
 
 
 def entry_bits(view) -> dict:
-    """A view's entries as {id: (key, candidate, item)}, the key by its
-    repr so that its floats compare bit for bit."""
-    return {nid: (repr(e.key), e.candidate, e.item) for nid, e in view.entries.items()}
+    """A view's entries as {id: (key, candidate, item, utility)}, the floats
+    by their repr so that they compare bit for bit.  ``entries`` and
+    ``keys`` must hold the same ids."""
+    entries, keys = view.entries, view.keys
+    assert entries.keys() == keys.keys()
+    candidates = view.candidate_ids()
+    return {nid: (repr(key), nid in candidates, entries[nid][0], repr(entries[nid][1]))
+            for nid, key in keys.items()}
 
 
 def sorted_edges(g) -> list[tuple[int, int, float]]:

@@ -41,7 +41,7 @@ def view_at(owner_id=1, radius=500.0, capacity=20):
 
 
 def ranked_ids(view):
-    return [e.item.node_id for e in sorted(view.entries.values(), key=lambda e: e.key)]
+    return [nid for _, _, nid in sorted(view.keys.values())]
 
 
 def random_view_with(owner_id, items):
@@ -52,37 +52,46 @@ def random_view_with(owner_id, items):
 
 
 def merged_entry(item, radius=500.0):
-    """The entry that merging item alone into an empty view makes."""
+    """(utility, distance, candidate) of the entry that merging item alone
+    into an empty view makes."""
     view = view_at(radius=radius)
     view.merge([item], now_ms=item.timestamp_ms, stale_ms=10**9)
-    return view.entries[item.node_id]
+    (held, utility), key = view.entries[item.node_id], view.keys[item.node_id]
+    assert held is item
+    assert key == (-utility, key[1], item.node_id)
+    return utility, key[1], item.node_id in view.candidate_ids()
+
+
+def tangent_radius(d, own=500.0):
+    """The radius whose sum with the owner's is exactly the distance d."""
+    r = d - own
+    while own + r < d:
+        r = math.nextafter(r, math.inf)
+    while own + r > d:
+        r = math.nextafter(r, -math.inf)
+    return r
 
 
 class TestScoring:
     def test_overlapping_item_is_candidate(self):
-        e = merged_entry(item_at(2, 600.0, 0.0, 200.0))
-        assert e.candidate
-        assert e.utility > 0.0
-        assert e.dist == distances_np(0.0, 0.0, 600.0 / DEG_M, 0.0)
-        assert e.utility == overlap_area_f(e.dist, 500.0, 200.0)
+        utility, dist, candidate = merged_entry(item_at(2, 600.0, 0.0, 200.0))
+        assert candidate
+        assert utility > 0.0
+        assert dist == distances_np(0.0, 0.0, 600.0 / DEG_M, 0.0)
+        assert utility == overlap_area_f(dist, 500.0, 200.0)
 
     def test_disjoint_item_scores_zero(self):
-        e = merged_entry(item_at(2, 5000.0, 0.0, 200.0))
-        assert (e.utility, e.candidate) == (0.0, False)
-        assert e.dist == pytest.approx(5000.0, rel=1e-3)
+        utility, dist, candidate = merged_entry(item_at(2, 5000.0, 0.0, 200.0))
+        assert (utility, candidate) == (0.0, False)
+        assert dist == pytest.approx(5000.0, rel=1e-3)
 
     def test_tangent_item_not_candidate(self):
         far = item_at(2, 3000.0, 0.0, 100.0)
         d = float(distances_np(0.0, 0.0, far.latitude, far.longitude))
-        # the radius whose sum with the owner's is exactly the kernel distance
-        r = d - 500.0
-        while 500.0 + r < d:
-            r = math.nextafter(r, math.inf)
-        while 500.0 + r > d:
-            r = math.nextafter(r, -math.inf)
+        r = tangent_radius(d)
         assert 500.0 + r == d
-        e = merged_entry(replace(far, radius=r))
-        assert (e.utility, e.candidate) == (0.0, False)
+        utility, _, candidate = merged_entry(replace(far, radius=r))
+        assert (utility, candidate) == (0.0, False)
 
 
 class TestRanking:
@@ -120,14 +129,14 @@ class TestMerge:
         view = view_at()
         view.merge([item_at(2, 100.0, 0.0, 50.0, ts=500)], now_ms=2000, stale_ms=10**9)
         view.merge([item_at(2, 900.0, 0.0, 50.0, ts=400)], now_ms=2000, stale_ms=10**9)
-        assert view.entries[2].item.timestamp_ms == 500
+        assert view.entries[2][0].timestamp_ms == 500
 
     def test_fresher_copy_rescored_on_move(self):
         view = view_at(radius=500.0)
         view.merge([item_at(2, 100.0, 0.0, 50.0, ts=500)], now_ms=2000, stale_ms=10**9)
-        assert view.entries[2].candidate
+        assert view.candidate_ids() == {2}
         view.merge([item_at(2, 9000.0, 0.0, 50.0, ts=600)], now_ms=2000, stale_ms=10**9)
-        assert not view.entries[2].candidate
+        assert 2 in view.entries and view.candidate_ids() == set()
 
     def test_stale_noncandidates_evicted(self):
         view = view_at(radius=500.0)
@@ -156,6 +165,48 @@ class TestMerge:
         view = view_at()
         view.merge([item_at(2, 100.0, 0.0, 50.0)], now_ms=2000, stale_ms=10**9)
         assert 2 in view.entries
+
+
+class TestCandidacyAtTangency:
+    """A view reads candidacy off the key's distance with the test that
+    scored the entry, so the edge is exact on every path: an item exactly
+    at tangency is no candidate, and one a radius ulp inside it is."""
+
+    @staticmethod
+    def tangent_and_inside(ts=1000):
+        """Node 2 at tangency with the owner (radius 500 at the origin),
+        node 3 at the same place an ulp inside it."""
+        tangent = item_at(2, 3000.0, 0.0, 100.0, ts=ts)
+        d = float(distances_np(0.0, 0.0, tangent.latitude, tangent.longitude))
+        r = tangent_radius(d)
+        inside = math.nextafter(r, math.inf)
+        assert 500.0 + r == d < 500.0 + inside
+        return replace(tangent, radius=r), replace(item_at(3, 3000.0, 0.0, 100.0, ts=ts),
+                                                   radius=inside)
+
+    def test_merge_and_candidate_list(self):
+        tangent, inside = self.tangent_and_inside()
+        view = view_at(radius=500.0)
+        view.merge([tangent, inside], now_ms=2000, stale_ms=10**9)
+        assert view.candidate_ids() == {3}
+        assert view.entries[2][1] == 0.0 < view.entries[3][1]
+        assert [(item.node_id, u) for item, u in candidate_list(view)] == [(3, view.entries[3][1])]
+
+    def test_staleness_evicts_the_tangent_item_only(self):
+        tangent, inside = self.tangent_and_inside(ts=100)
+        view = view_at(radius=500.0)
+        view.merge([tangent, inside], now_ms=100, stale_ms=1000)
+        view.merge([], now_ms=50_000, stale_ms=1000)
+        assert sorted(view.entries) == [3]
+        assert [item for item, _ in candidate_list(view)] == [inside]
+
+    def test_capacity_cut_keeps_the_inside_item(self):
+        # capacity 1: node 4 fills it, and the cut keeps node 3 pinned
+        tangent, inside = self.tangent_and_inside()
+        view = view_at(radius=500.0, capacity=1)
+        view.merge([tangent, inside, item_at(4, 100.0, 0.0, 100.0)], now_ms=2000, stale_ms=10**9)
+        assert sorted(view.entries) == sorted(view.keys) == [3, 4]
+        assert [item.node_id for item, _ in candidate_list(view)] == [4, 3]
 
 
 class TestSelectTarget:
@@ -442,7 +493,7 @@ class TestMergeMatchesScoringEverything:
         second = [item_at(2, 5000.0, 0.0, 10.0, ts=2000), item_at(5, 2500.0, 0.0, 10.0, ts=2000)]
         for v in (view, ref):
             v.merge(first, now_ms=2000, stale_ms=10**9)
-        assert view._frontier == view.entries[3].key
+        assert view._frontier == view.keys[3]
         for v in (view, ref):
             v.merge(second, now_ms=2000, stale_ms=10**9)
         assert sorted(view.entries) == [3, 5]
@@ -460,7 +511,7 @@ class TestMergeMatchesScoringEverything:
         for v in (view, ref):
             v.merge([node_2(0.001, 1)], now_ms=10, stale_ms=10**9)
             v.merge([node_2(0.002, 5), node_2(0.001, 6)], now_ms=10, stale_ms=10**9)
-            assert v.entries[2].item == node_2(0.001, 6)
+            assert v.entries[2][0] == node_2(0.001, 6)
         assert entry_bits(view) == entry_bits(ref)
 
     def test_latitude_one_ulp_from_the_frontier(self):
@@ -519,8 +570,8 @@ class TestCarriedDistances:
         carried.merge(buf, stream.now_ms, stream.stale_ms)
         recomputed.merge(list(buf), stream.now_ms, stream.stale_ms)
         assert entry_bits(carried) == entry_bits(recomputed)
-        assert ({nid: repr(e.utility) for nid, e in carried.entries.items()}
-                == {nid: repr(e.utility) for nid, e in recomputed.entries.items()})
+        assert ({nid: repr(u) for nid, (_, u) in carried.entries.items()}
+                == {nid: repr(u) for nid, (_, u) in recomputed.entries.items()})
         assert repr(carried._frontier) == repr(recomputed._frontier)
         assert carried._min_ts == recomputed._min_ts
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 from dataclasses import replace
@@ -350,6 +351,34 @@ class TestCandidateLists:
                              if d < spec.radius + it.radius}
                     assert known <= pinned
                 assert {item.node_id for item, _ in candidate_list(node.ranked)} == pinned
+
+
+    def test_lists_are_the_views_own_pairs(self):
+        # candidate_lists allocates a list per node and nothing per
+        # candidate: each pair listed is the one its owner's view holds
+        sc = generate_scenario(300, (3000.0, 3000.0), (100.0, 600.0), 1)
+        sim = Simulation(sc)
+        sim.run(8)
+        gc.collect()
+        before = len(gc.get_objects())
+        lists = sim.candidate_lists()
+        grown = len(gc.get_objects()) - before
+        # dense enough that a tracked object per candidate would show
+        assert sum(map(len, lists.values())) > 10 * len(lists)
+        assert grown <= 2 * len(lists) + 16
+        for nid, entries in lists.items():
+            held = sim.nodes[nid].ranked.entries
+            assert all(held[pair[0].node_id] is pair for pair in entries)
+        # a same-place refresh: the list shows the fresher copy, in place
+        nid, entries = next((nid, entries) for nid, entries in lists.items() if len(entries) > 1)
+        item, utility = entries[1]
+        fresher = replace(item, timestamp_ms=item.timestamp_ms + 1)
+        view = sim.nodes[nid].ranked
+        view.merge([fresher], fresher.timestamp_ms, sim.stale_ms)
+        again = candidate_list(view)
+        assert again[1][0] is fresher and repr(again[1][1]) == repr(utility)
+        assert ([(it.node_id, repr(u)) for it, u in again]
+                == [(it.node_id, repr(u)) for it, u in entries])
 
 
 class TestDelegation:
