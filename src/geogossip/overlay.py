@@ -31,14 +31,15 @@ from .wire import DiscoveryItem
 
 
 class RankedView:
-    """``entries`` maps a node id to its pair (item, utility), ``keys`` to
-    its rank key (-utility, distance, id): utility descending, then
-    distance as the below-horizon gradient, then id.  An entry is a
-    candidate when its distance is under the two radii's sum; a nonzero
-    utility is a candidate's, so hot paths test the distance only at zero.
-    The pair is the one object per entry that the collector tracks (a key
-    of floats and an int it untracks), and ``candidate_list`` returns the
-    pairs themselves, so listing candidates sets off no full collector pass.
+    """``entries`` maps a node id to its one record,
+    ``(-utility, distance, id, (item, utility))``.  The first three fields
+    are the rank key: utility descending, then distance as the
+    below-horizon gradient, then id.  Ids are unique, so ordering records
+    never reaches the last field, the very pair ``candidate_list`` returns.
+    An entry is a candidate when its distance is under the two radii's sum;
+    a nonzero utility is a candidate's, so hot paths test the distance only
+    at zero.  Listing candidates returns the stored pairs themselves, so it
+    allocates nothing per candidate and sets off no full collector pass.
     """
 
     def __init__(self, owner_id: int, lat: float, lon: float, radius: float, capacity: int):
@@ -47,25 +48,23 @@ class RankedView:
         self.lon = lon
         self.radius = radius
         self.capacity = capacity
-        self.entries: dict[int, tuple[DiscoveryItem, float]] = {}
-        self.keys: dict[int, tuple[float, float, int]] = {}
+        self.entries: dict[int, tuple[float, float, int, tuple[DiscoveryItem, float]]] = {}
         # conservative lower bound on the oldest non-candidate timestamp;
         # lets merge skip the staleness scan while everything is fresh
         self._min_ts = float("inf")
-        # the capacity-th smallest key, set at each capacity cut and cleared
-        # when an entry leaves: adding entries only lowers the true
+        # the capacity-th smallest record, set at each capacity cut and
+        # cleared when an entry leaves: adding entries only lowers the true
         # frontier, so a cached one stays an upper bound on it
         self._frontier: tuple | None = None
 
     def drop(self, node_id: int):
         self.entries.pop(node_id, None)
-        self.keys.pop(node_id, None)
         self._frontier = None
 
     def candidate_ids(self) -> set[int]:
-        radius, entries = self.radius, self.entries
-        return {nid for u, dist, nid in self.keys.values()
-                if u or dist < radius + entries[nid][0].radius}
+        radius = self.radius
+        return {nid for u, dist, nid, pair in self.entries.values()
+                if u or dist < radius + pair[0].radius}
 
     def merge(self, items, now_ms: int, stale_ms: int):
         """Fold received items in: keep the freshest copy per id, re-score
@@ -84,7 +83,7 @@ class RankedView:
         # node id -> position in items of the copy to enter
         pending: dict[int, int] = {}
         own = self.owner_id
-        entries, keys, radius = self.entries, self.keys, self.radius
+        entries, radius = self.entries, self.radius
         entries_get = entries.get
         pending_get = pending.get
         for pos, item in enumerate(items):
@@ -100,14 +99,14 @@ class RankedView:
                 continue
             cur = entries_get(nid)
             if cur is not None:
-                held = cur[0]
+                neg, dist, _, (held, utility) = cur
                 if item.timestamp_ms <= held.timestamp_ms:
                     continue
                 if (item.latitude == held.latitude
                         and item.longitude == held.longitude
                         and item.radius == held.radius):
                     # same place, same key: the fresher copy takes the pair
-                    entries[nid] = (item, cur[1])
+                    entries[nid] = (neg, dist, nid, (item, utility))
                     continue
             pending[nid] = pos
         # staleness applies to non-candidates only: a pinned candidate must
@@ -116,12 +115,12 @@ class RankedView:
         # detection instead
         cutoff = now_ms - stale_ms
         if self._min_ts < cutoff:
-            others = [item for nid, (item, _) in entries.items()
-                      if not keys[nid][1] < radius + item.radius]
+            others = [pair[0] for _, dist, _, pair in entries.values()
+                      if not dist < radius + pair[0].radius]
             stale = [item.node_id for item in others if item.timestamp_ms < cutoff]
             if stale:
                 for nid in stale:
-                    del entries[nid], keys[nid]
+                    del entries[nid]
                 self._frontier = None
             self._min_ts = min(
                 (item.timestamp_ms for item in others if item.timestamp_ms >= cutoff),
@@ -139,38 +138,37 @@ class RankedView:
                                      np.array([it.longitude for it in batch])).tolist()
             self._admit(batch, dists, cutoff)
         if len(entries) > self.capacity:
-            ranked = sorted(keys.values())
+            ranked = sorted(entries.values())
             # the cut keeps every entry ranked inside capacity, so this is
             # the frontier of the entries that remain
             self._frontier = ranked[self.capacity - 1]
-            for u, dist, nid in ranked[self.capacity:]:
-                if not u and not dist < radius + entries[nid][0].radius:
-                    del entries[nid], keys[nid]
+            for u, dist, nid, pair in ranked[self.capacity:]:
+                if not u and not dist < radius + pair[0].radius:
+                    del entries[nid]
 
     def _admit(self, items: list[DiscoveryItem], dists: list[float], cutoff: int):
         """Score and enter the pending items, at the given distances from
         the owner, that the stale and capacity cuts would keep, once the
         entries they replace (moved or rejoined nodes) have left."""
-        entries, keys = self.entries, self.keys
+        entries = self.entries
         for item in items:
             if item.node_id in entries:
-                del entries[item.node_id], keys[item.node_id]
+                del entries[item.node_id]
                 self._frontier = None
+        # a record of the view, or None; a key ties it only on its own id,
+        # which no pending item has, so comparing stops before the pair
         frontier = self._frontier
         radius = self.radius
         for item, dist in zip(items, dists):
             nid = item.node_id
             if dist < radius + item.radius:
                 utility = overlap_area_f(dist, radius, item.radius)
-                entries[nid] = (item, utility)
-                keys[nid] = (-utility, dist, nid)
+                entries[nid] = (-utility, dist, nid, (item, utility))
                 continue
             ts = item.timestamp_ms
-            key = (-0.0, dist, nid)
-            if ts < cutoff or (frontier is not None and key > frontier):
+            if ts < cutoff or (frontier is not None and (-0.0, dist, nid) > frontier):
                 continue
-            entries[nid] = (item, 0.0)
-            keys[nid] = key
+            entries[nid] = (-0.0, dist, nid, (item, 0.0))
             if ts < self._min_ts:
                 self._min_ts = ts
 
@@ -192,14 +190,14 @@ def select_target(view: RankedView, random_view: RandomView,
     if far and rng.random() < p_far:
         return rng.choice(sorted(far))
     cutoff = now_ms - stale_ms
-    radius, keys = view.radius, view.keys
+    radius, entries = view.radius, view.entries
     stale = [
-        item for nid, (item, _) in view.entries.items()
-        if item.timestamp_ms < cutoff and nid not in recent and keys[nid][1] < radius + item.radius
+        item for _, dist, nid, (item, _) in entries.values()
+        if item.timestamp_ms < cutoff and nid not in recent and dist < radius + item.radius
     ]
     if stale:
         return min(stale, key=lambda it: (it.timestamp_ms, it.node_id)).node_id
-    best = min((key for nid, key in keys.items() if nid not in recent), default=None)
+    best = min((rec for rec in entries.values() if rec[2] not in recent), default=None)
     if best is not None:
         return best[2]
     if far:
@@ -233,8 +231,9 @@ def buffer_for(view: RankedView, random_view: RandomView,
                peer_lat: float, peer_lon: float, peer_radius: float) -> OverlayBuffer:
     """Exchange buffer sized to the receiving peer.
 
-    The pool is every item the sender knows, in its ranked view and its
-    random view, less its own id.  Each pool item's gap is its center
+    The pool is every item the sender knows: its ranked view's items,
+    then those of its random view that the ranked view lacks.  Neither
+    view stores the sender's own id.  Each pool item's gap is its center
     distance to the peer minus their combined radii, negative for a
     candidate of the peer.  The buffer holds the own fresh descriptor,
     then the first n pool items in (gap, node id) order, where
@@ -245,11 +244,9 @@ def buffer_for(view: RankedView, random_view: RandomView,
     non-candidate, at least a ranked view's worth and never more than
     both views hold.
     """
-    pool: dict[int, DiscoveryItem] = {nid: item for nid, (item, _) in view.entries.items()}
-    for desc in random_view.entries.values():
-        pool.setdefault(desc.item.node_id, desc.item)
-    pool.pop(own_item.node_id, None)
-    items = [own_item, *pool.values()]
+    ranked = view.entries
+    items = [own_item, *[pair[0] for _, _, _, pair in ranked.values()],
+             *[desc.item for nid, desc in random_view.entries.items() if nid not in ranked]]
     dists = distances_np(peer_lat, peer_lon,
                          np.array([it.latitude for it in items]),
                          np.array([it.longitude for it in items]))
@@ -275,9 +272,9 @@ def candidate_list(view: RankedView) -> list[tuple[DiscoveryItem, float]]:
     The list holds the view's own pairs, sorted by id and then stably by
     utility, with no key tuple: it allocates nothing per candidate.
     """
-    radius, entries = view.radius, view.entries
-    pairs = [entries[nid] for u, dist, nid in view.keys.values()
-             if u or dist < radius + entries[nid][0].radius]
+    radius = view.radius
+    pairs = [pair for u, dist, _, pair in view.entries.values()
+             if u or dist < radius + pair[0].radius]
     pairs.sort(key=lambda pair: pair[0].node_id)
     pairs.sort(key=itemgetter(1), reverse=True)
     return pairs

@@ -7,6 +7,7 @@ are evicted when the view overflows.  Aging doubles as churn cleanup:
 descriptors of dead nodes stop being refreshed and fall out.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
 from random import Random
@@ -35,11 +36,9 @@ def _salt64(owner_id: int, node_id: int) -> int:
 class PeerDescriptor:
     item: DiscoveryItem
     age: int  # gossip rounds since the item was created
-    salted: int  # _salt64(owner, node id): the eviction tie-break
 
 
-# oldest last; among equal ages the salted mix
-_evict_key = attrgetter("age", "salted")
+_age = attrgetter("age")
 
 
 class RandomView:
@@ -61,6 +60,8 @@ class RandomView:
         """Merge received items, ages reconstructed from their timestamps:
         dedup keeping the youngest copy (within one age the held copy
         stays), never store self, evict the oldest entries past capacity.
+        Among entries of the age at the capacity cut, the owner-salted mix
+        ``_salt64(owner, id)`` decides; it is computed for that age alone.
 
         Age is the view's only clock.  In the engine every timestamp is a
         multiple of the period and every live view ticks once a round, so
@@ -75,19 +76,25 @@ class RandomView:
             if age < 0:
                 age = 0
             cur = entries_get(nid)
-            if cur is None:
-                self.entries[nid] = PeerDescriptor(item, age, _salt64(owner, nid))
-            elif age < cur.age:
-                self.entries[nid] = PeerDescriptor(item, age, cur.salted)
+            if cur is None or age < cur.age:
+                self.entries[nid] = PeerDescriptor(item, age)
         self._evict()
 
     def _evict(self):
-        if len(self.entries) > self.capacity:
-            # age ties are common (items minted the same round), so the
-            # last tie-break is the owner-salted mix: a plain id ordering
-            # would evict the same nodes from every view in the overlay
-            ranked = sorted(self.entries.values(), key=_evict_key)
-            self.entries = {d.item.node_id: d for d in ranked[: self.capacity]}
+        capacity = self.capacity
+        if len(self.entries) > capacity:
+            ranked = sorted(self.entries.values(), key=_age)
+            cut = ranked[capacity - 1].age
+            if ranked[capacity].age == cut:
+                # age ties are common (items minted the same round), so the
+                # last tie-break is the owner-salted mix: a plain id ordering
+                # would evict the same nodes from every view in the overlay
+                lo = bisect_left(ranked, cut, hi=capacity, key=_age)
+                hi = bisect_right(ranked, cut, lo=capacity, key=_age)
+                owner = self.owner_id
+                ranked[lo:hi] = sorted(ranked[lo:hi],
+                                       key=lambda d: _salt64(owner, d.item.node_id))
+            self.entries = {d.item.node_id: d for d in ranked[:capacity]}
 
 
 def sample_partner(view: RandomView, rng: Random) -> int:

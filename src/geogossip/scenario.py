@@ -48,7 +48,7 @@ class Params:
         return int(round(self.period_seconds * 1000))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeSpec:
     node_id: int
     latitude: float

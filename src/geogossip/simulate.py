@@ -8,7 +8,6 @@ a single seeded generator, so a scenario replays bit-identically.
 """
 
 import csv
-from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
@@ -100,9 +99,11 @@ class LatitudeIndex:
     of node i lies in the band |lat - lat_i| <= r_i + r_max, where r_max
     bounds every member's radius: scanning that band with the one distance
     kernel gives i's exact candidate set anywhere on the sphere, across
-    the antimeridian and at the poles alike.  A join or a leave updates
-    the sorted arrays and the candidate sets it belongs to; nothing is
-    rebuilt, and memory stays linear in the membership.
+    the antimeridian and at the poles alike.  ``candidates`` maps each
+    member to its candidates' ids as a sorted tuple.  A join or a leave
+    updates the sorted arrays and rebuilds the tuples of the members it
+    touches; nothing else is rebuilt, and memory stays linear in the
+    membership.
     ``LatitudeIndex(specs).candidates`` is the oracle for a fixed set of
     nodes; ``Simulation.oracle`` follows the live membership.
     """
@@ -120,20 +121,20 @@ class LatitudeIndex:
         self.lons = np.array([s.longitude for s in specs], dtype=np.float64)
         self.rads = np.array([s.radius for s in specs], dtype=np.float64)
         self.r_max = float(self.rads.max()) if specs else 0.0  # never lowered
-        self.candidates: dict[int, set[int]] = {
+        self.candidates: dict[int, tuple[int, ...]] = {
             s.node_id: self._scan(s) for s in specs
         }
 
-    def _scan(self, spec: NodeSpec) -> set[int]:
-        """Ids of the members whose disks strictly overlap spec's."""
+    def _scan(self, spec: NodeSpec) -> tuple[int, ...]:
+        """Ids of the other members whose disks strictly overlap spec's,
+        in increasing order."""
         half = (spec.radius + self.r_max) / METERS_PER_DEG_LAT * self._BAND_REL + self._BAND_DEG
         lo = int(np.searchsorted(self.lats, spec.latitude - half, side="left"))
         hi = int(np.searchsorted(self.lats, spec.latitude + half, side="right"))
         dists = distances_np(spec.latitude, spec.longitude, self.lats[lo:hi], self.lons[lo:hi])
-        near = np.flatnonzero(dists < spec.radius + self.rads[lo:hi])
-        found = {self.ids[lo + k] for k in near}
-        found.discard(spec.node_id)
-        return found
+        near = np.flatnonzero(dists < spec.radius + self.rads[lo:hi]) + lo
+        ids, own = self.ids, spec.node_id
+        return tuple(sorted(ids[k] for k in near.tolist() if ids[k] != own))
 
     def add(self, spec: NodeSpec):
         pos = int(np.searchsorted(self.lats, spec.latitude))
@@ -143,9 +144,10 @@ class LatitudeIndex:
         self.rads = np.insert(self.rads, pos, spec.radius)
         self.r_max = max(self.r_max, spec.radius)
         found = self._scan(spec)
+        candidates, nid = self.candidates, spec.node_id
         for other in found:
-            self.candidates[other].add(spec.node_id)
-        self.candidates[spec.node_id] = found
+            candidates[other] = tuple(sorted((*candidates[other], nid)))
+        candidates[nid] = found
 
     def remove(self, spec: NodeSpec):
         lo = int(np.searchsorted(self.lats, spec.latitude, side="left"))
@@ -155,8 +157,9 @@ class LatitudeIndex:
         self.lats = np.delete(self.lats, pos)
         self.lons = np.delete(self.lons, pos)
         self.rads = np.delete(self.rads, pos)
-        for other in self.candidates.pop(spec.node_id):
-            self.candidates[other].discard(spec.node_id)
+        candidates, nid = self.candidates, spec.node_id
+        for other in candidates.pop(nid):
+            candidates[other] = tuple(x for x in candidates[other] if x != nid)
 
 
 class _Node:
@@ -169,7 +172,7 @@ class _Node:
         self.join_round = join_round
         self.random_view = RandomView(spec.node_id, C_RAND)
         self.ranked = RankedView(spec.node_id, spec.latitude, spec.longitude, spec.radius, C_RANK)
-        self.recent: deque[int] = deque(maxlen=RECENT_ROUNDS)
+        self.recent: tuple[int, ...] = ()  # the last RECENT_ROUNDS overlay targets
         self._own: DiscoveryItem | None = None
 
     def own_item(self, now_ms: int) -> DiscoveryItem:
@@ -319,7 +322,7 @@ class Simulation:
         if target is None:
             self._forget(node, target_id)
             return
-        node.recent.append(target_id)
+        node.recent = (*node.recent, target_id)[-RECENT_ROUNDS:]
         buf_a = self._overlay_buffer(node, target, now_ms)
         buf_b = self._overlay_buffer(target, node, now_ms)
         self._record(buf_a)
@@ -355,7 +358,7 @@ class Simulation:
             gt = self.oracle.candidates[node.spec.node_id]
             if gt:
                 found = node.ranked.candidate_ids()
-                recall = len(found & gt) / len(gt)
+                recall = len(found.intersection(gt)) / len(gt)
             else:
                 recall = 1.0
             recalls.append(recall)

@@ -33,7 +33,7 @@ class FieldRangeError(ValueError):
     """Decoded field is out of its valid range (corrupt or hostile frame)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiscoveryItem:
     node_id: int
     latitude: float

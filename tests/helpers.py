@@ -67,7 +67,7 @@ class ReferenceRankedView:
     ahead of scoring; tests drive both with the same streams and require
     the same entries after every call.  It stores each entry's candidacy
     as scored, where RankedView reads it off the key's distance, and shows
-    its records as RankedView's ``entries`` and ``keys``.
+    its records as RankedView's ``entries``.
     """
 
     def __init__(self, owner_id: int, lat: float, lon: float, radius: float, capacity: int):
@@ -80,12 +80,8 @@ class ReferenceRankedView:
         self._min_ts = float("inf")
 
     @property
-    def entries(self) -> dict[int, tuple[DiscoveryItem, float]]:
-        return {nid: (e.item, e.utility) for nid, e in self.records.items()}
-
-    @property
-    def keys(self) -> dict[int, tuple[float, float, int]]:
-        return {nid: e.key for nid, e in self.records.items()}
+    def entries(self) -> dict[int, tuple]:
+        return {nid: (*e.key, (e.item, e.utility)) for nid, e in self.records.items()}
 
     def candidate_ids(self) -> set[int]:
         return {nid for nid, e in self.records.items() if e.candidate}
@@ -154,13 +150,70 @@ class ReferenceRankedView:
 
 def entry_bits(view) -> dict:
     """A view's entries as {id: (key, candidate, item, utility)}, the floats
-    by their repr so that they compare bit for bit.  ``entries`` and
-    ``keys`` must hold the same ids."""
-    entries, keys = view.entries, view.keys
-    assert entries.keys() == keys.keys()
+    by their repr so that they compare bit for bit.  Each record must be
+    filed under its own id, and its key must negate its pair's utility."""
+    bits = {}
     candidates = view.candidate_ids()
-    return {nid: (repr(key), nid in candidates, entries[nid][0], repr(entries[nid][1]))
-            for nid, key in keys.items()}
+    for nid, (neg, dist, key_id, (item, utility)) in view.entries.items():
+        assert key_id == item.node_id == nid
+        assert repr(neg) == repr(-utility)
+        bits[nid] = (repr((neg, dist, key_id)), nid in candidates, item, repr(utility))
+    return bits
+
+
+def oracle_sets(candidates: dict) -> dict[int, set[int]]:
+    """An oracle's candidates as {id: set of ids}, once each value has been
+    checked to be a strictly increasing tuple, so that it holds no
+    duplicate and the sets compare as many ids as the tuples hold."""
+    for ids in candidates.values():
+        assert type(ids) is tuple
+        assert all(a < b for a, b in zip(ids, ids[1:]))
+    return {nid: set(ids) for nid, ids in candidates.items()}
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix64_pair(owner_id: int, node_id: int) -> int:
+    """The random view's owner-salted tie-break, written out again here:
+    splitmix64's finalizer over owner_id * golden gamma + node_id."""
+    z = (owner_id * 0x9E3779B97F4A7C15 + node_id) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+class ReferenceRandomView:
+    """The random-view merge that salts every entry as it enters and
+    evicts on (age, salt), the order RandomView keeps while salting only
+    the age tied at the capacity cut.  ``entries`` maps an id to
+    [item, age]."""
+
+    def __init__(self, owner_id: int, capacity: int):
+        self.owner_id = owner_id
+        self.capacity = capacity
+        self.entries: dict[int, list] = {}
+
+    def tick(self):
+        for entry in self.entries.values():
+            entry[1] += 1
+
+    def drop(self, node_id: int):
+        self.entries.pop(node_id, None)
+
+    def merge(self, items, now_ms: int, period_ms: int):
+        for item in items:
+            nid = item.node_id
+            if nid == self.owner_id:
+                continue
+            age = max(0, (now_ms - item.timestamp_ms) // period_ms)
+            held = self.entries.get(nid)
+            if held is None or age < held[1]:
+                self.entries[nid] = [item, age]
+        if len(self.entries) > self.capacity:
+            ranked = sorted(self.entries.items(),
+                            key=lambda kv: (kv[1][1], splitmix64_pair(self.owner_id, kv[0])))
+            self.entries = dict(ranked[:self.capacity])
 
 
 def sorted_edges(g) -> list[tuple[int, int, float]]:

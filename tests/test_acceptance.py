@@ -30,7 +30,7 @@ from geogossip.spectrum import (
     qoe_step,
 )
 from geogossip.wire import FRAME_LEN, decode, encode
-from helpers import brute_force_optimum, mc_overlap_area, random_item
+from helpers import brute_force_optimum, mc_overlap_area, oracle_sets, random_item
 
 pytestmark = pytest.mark.acceptance
 
@@ -141,7 +141,7 @@ def test_05_oracle_equivalence(report):
     sc = generate_scenario(200, region=(5000.0, 5000.0), radius_law=RADII, rng_seed=11)
     sim = Simulation(sc)
     sim.run(30)
-    gt = sim.oracle.candidates
+    gt = oracle_sets(sim.oracle.candidates)
     exact = all(
         {item.node_id for item, _ in entries} == gt[nid]
         for nid, entries in sim.candidate_lists().items()
@@ -175,7 +175,7 @@ def test_06_geometry(report):
 
 def test_07_quartet(report):
     sim = Simulation(four_node_demo())
-    gt = sim.oracle.candidates
+    gt = oracle_sets(sim.oracle.candidates)
     sets_ok = gt == {1: {2, 4}, 2: {1, 4}, 3: {4}, 4: {1, 2, 3}}
     series = sim.run(5)
     conv = convergence_round(series, 1.0)

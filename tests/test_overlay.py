@@ -41,7 +41,12 @@ def view_at(owner_id=1, radius=500.0, capacity=20):
 
 
 def ranked_ids(view):
-    return [nid for _, _, nid in sorted(view.keys.values())]
+    return [rec[2] for rec in sorted(view.entries.values())]
+
+
+def pair_of(view, node_id):
+    """The (item, utility) pair of a view's record for node_id."""
+    return view.entries[node_id][3]
 
 
 def random_view_with(owner_id, items):
@@ -56,10 +61,10 @@ def merged_entry(item, radius=500.0):
     into an empty view makes."""
     view = view_at(radius=radius)
     view.merge([item], now_ms=item.timestamp_ms, stale_ms=10**9)
-    (held, utility), key = view.entries[item.node_id], view.keys[item.node_id]
+    neg, dist, nid, (held, utility) = view.entries[item.node_id]
     assert held is item
-    assert key == (-utility, key[1], item.node_id)
-    return utility, key[1], item.node_id in view.candidate_ids()
+    assert (neg, nid) == (-utility, item.node_id)
+    return utility, dist, item.node_id in view.candidate_ids()
 
 
 def tangent_radius(d, own=500.0):
@@ -129,7 +134,7 @@ class TestMerge:
         view = view_at()
         view.merge([item_at(2, 100.0, 0.0, 50.0, ts=500)], now_ms=2000, stale_ms=10**9)
         view.merge([item_at(2, 900.0, 0.0, 50.0, ts=400)], now_ms=2000, stale_ms=10**9)
-        assert view.entries[2][0].timestamp_ms == 500
+        assert pair_of(view, 2)[0].timestamp_ms == 500
 
     def test_fresher_copy_rescored_on_move(self):
         view = view_at(radius=500.0)
@@ -189,8 +194,8 @@ class TestCandidacyAtTangency:
         view = view_at(radius=500.0)
         view.merge([tangent, inside], now_ms=2000, stale_ms=10**9)
         assert view.candidate_ids() == {3}
-        assert view.entries[2][1] == 0.0 < view.entries[3][1]
-        assert [(item.node_id, u) for item, u in candidate_list(view)] == [(3, view.entries[3][1])]
+        assert pair_of(view, 2)[1] == 0.0 < pair_of(view, 3)[1]
+        assert [(item.node_id, u) for item, u in candidate_list(view)] == [(3, pair_of(view, 3)[1])]
 
     def test_staleness_evicts_the_tangent_item_only(self):
         tangent, inside = self.tangent_and_inside(ts=100)
@@ -205,7 +210,7 @@ class TestCandidacyAtTangency:
         tangent, inside = self.tangent_and_inside()
         view = view_at(radius=500.0, capacity=1)
         view.merge([tangent, inside, item_at(4, 100.0, 0.0, 100.0)], now_ms=2000, stale_ms=10**9)
-        assert sorted(view.entries) == sorted(view.keys) == [3, 4]
+        assert sorted(view.entries) == [3, 4]
         assert [item.node_id for item, _ in candidate_list(view)] == [4, 3]
 
 
@@ -377,6 +382,18 @@ class TestCandidateList:
         assert [item.node_id for item, _ in got] == [7, 2]
         assert got[0][1] > got[1][1] > 0.0
 
+    def test_one_record_per_entry(self):
+        # the rank key and the listed pair share one record per id
+        view = view_at(radius=500.0)
+        near, miss = item_at(2, 100.0, 0.0, 400.0), item_at(3, 5000.0, 0.0, 100.0)
+        view.merge([near, miss], now_ms=2000, stale_ms=10**9)
+        assert not hasattr(view, "keys")
+        [pair] = candidate_list(view)
+        assert view.entries[2][3] is pair
+        for it, utility in ((near, pair[1]), (miss, 0.0)):
+            dist = float(distances_np(0.0, 0.0, it.latitude, it.longitude))
+            assert view.entries[it.node_id] == (-utility, dist, it.node_id, (it, utility))
+
     def test_export_lines(self):
         view = view_at(radius=500.0)
         view.merge([item_at(2, 100.0, 0.0, 400.0)], now_ms=2000, stale_ms=10**9)
@@ -493,7 +510,7 @@ class TestMergeMatchesScoringEverything:
         second = [item_at(2, 5000.0, 0.0, 10.0, ts=2000), item_at(5, 2500.0, 0.0, 10.0, ts=2000)]
         for v in (view, ref):
             v.merge(first, now_ms=2000, stale_ms=10**9)
-        assert view._frontier == view.keys[3]
+        assert view._frontier is view.entries[3]
         for v in (view, ref):
             v.merge(second, now_ms=2000, stale_ms=10**9)
         assert sorted(view.entries) == [3, 5]
@@ -511,7 +528,7 @@ class TestMergeMatchesScoringEverything:
         for v in (view, ref):
             v.merge([node_2(0.001, 1)], now_ms=10, stale_ms=10**9)
             v.merge([node_2(0.002, 5), node_2(0.001, 6)], now_ms=10, stale_ms=10**9)
-            assert v.entries[2][0] == node_2(0.001, 6)
+            assert pair_of(v, 2)[0] == node_2(0.001, 6)
         assert entry_bits(view) == entry_bits(ref)
 
     def test_latitude_one_ulp_from_the_frontier(self):
@@ -527,7 +544,7 @@ class TestMergeMatchesScoringEverything:
         assert float(distances_np(lat, lon, ulp.latitude, lon)) == 0.0
         for v in (view, ref):
             v.merge(here, now_ms=2000, stale_ms=10**9)
-        assert view._frontier == (-0.0, 0.0, 9)
+        assert view._frontier[:3] == (-0.0, 0.0, 9)
         for v in (view, ref):
             v.merge([ulp], now_ms=2000, stale_ms=10**9)
         assert sorted(view.entries) == [3]
@@ -570,8 +587,8 @@ class TestCarriedDistances:
         carried.merge(buf, stream.now_ms, stream.stale_ms)
         recomputed.merge(list(buf), stream.now_ms, stream.stale_ms)
         assert entry_bits(carried) == entry_bits(recomputed)
-        assert ({nid: repr(u) for nid, (_, u) in carried.entries.items()}
-                == {nid: repr(u) for nid, (_, u) in recomputed.entries.items()})
+        assert ({nid: repr(pair[1]) for nid, (*_, pair) in carried.entries.items()}
+                == {nid: repr(pair[1]) for nid, (*_, pair) in recomputed.entries.items()})
         assert repr(carried._frontier) == repr(recomputed._frontier)
         assert carried._min_ts == recomputed._min_ts
 

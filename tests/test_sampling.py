@@ -5,8 +5,10 @@ from random import Random
 import pytest
 from scipy.stats import chisquare
 
+from geogossip import sampling
 from geogossip.sampling import (
     EmptyViewError,
+    PeerDescriptor,
     RandomView,
     make_push_buffer,
     merge_random,
@@ -14,7 +16,7 @@ from geogossip.sampling import (
 )
 from geogossip.scenario import four_node_demo
 from geogossip.simulate import Simulation
-from helpers import random_item
+from helpers import ReferenceRandomView, random_item
 
 PERIOD = 15_000
 NOW = 1_000 * PERIOD
@@ -92,6 +94,67 @@ class TestRandomView:
             for nid in view.entries:
                 survivors[nid] += 1
         assert len(survivors) == 40  # every id survives in some view
+
+
+class TestEvictionMatchesSaltingEverything:
+    """RandomView salts only the age tied at the capacity cut; it must keep
+    the ids and ages of a view that salts every entry and sorts on
+    (age, salt)."""
+
+    @staticmethod
+    def replay(seed, steps=80):
+        rng = Random(seed)
+        owner = rng.choice([0, 1, 7, rng.getrandbits(64)])
+        capacity = rng.randint(1, 12)
+        ids = [owner] + rng.sample(range(1, 10_000), rng.randint(capacity, 3 * capacity + 4))
+        view, ref = RandomView(owner, capacity), ReferenceRandomView(owner, capacity)
+        now = NOW
+        for _ in range(steps):
+            op = rng.random()
+            if op < 0.1:
+                now += PERIOD
+                view.tick()
+                ref.tick()
+            elif op < 0.2:
+                nid = rng.choice(ids)
+                view.drop(nid)
+                ref.drop(nid)
+            else:
+                # few distinct ages, so the cut often falls inside a tie
+                batch = [replace(random_item(rng, node_id=rng.choice(ids)),
+                                 timestamp_ms=now - rng.randint(0, 3) * PERIOD
+                                 + rng.choice([0, 0, 1, PERIOD - 1]))
+                         for _ in range(rng.randint(0, 2 * capacity))]
+                view.merge(batch, now, PERIOD)
+                ref.merge(batch, now, PERIOD)
+            assert ({nid: (d.item, d.age) for nid, d in view.entries.items()}
+                    == {nid: (item, age) for nid, (item, age) in ref.entries.items()})
+        return view
+
+    def test_fuzzed_streams(self):
+        views = [self.replay(seed) for seed in range(300)]
+        assert sum(len(v.entries) == v.capacity for v in views) > 200  # most ended full
+
+    def test_salts_only_the_age_at_the_cut(self, monkeypatch):
+        salted = []
+        salt = sampling._salt64
+        monkeypatch.setattr(sampling, "_salt64", lambda o, n: salted.append(n) or salt(o, n))
+        rng = Random(35)
+        items = [random_item(rng, node_id=i) for i in range(2, 8)]
+        view = RandomView(owner_id=1, capacity=3)
+        # ages 0, 1, 2, 3, 4, 5: no tie at the cut, nothing salted
+        for age, item in enumerate(items):
+            merge_aged(view, [item], age)
+        assert salted == [] and sorted(view.entries) == [2, 3, 4]
+        # ages 0, 1, 1, 1, 1 against 3 places: the four of age 1 are salted
+        view = RandomView(owner_id=1, capacity=3)
+        merge_aged(view, items[:1], 0)
+        merge_aged(view, items[1:5], 1)
+        assert sorted(salted) == [3, 4, 5, 6]
+        assert len(view.entries) == 3 and 2 in view.entries
+
+    def test_a_descriptor_holds_no_salt(self):
+        assert tuple(PeerDescriptor.__slots__) == ("item", "age")
 
 
 class TestBootstrap:
