@@ -37,13 +37,17 @@ class InterferenceGraph:
     def add_edge(self, a: int, b: int, weight: float):
         if a == b or weight <= 0.0:
             return
-        self.add_vertex(a)
-        self.add_vertex(b)
+        adj = self.adj
+        row_a = adj.get(a)
+        if row_a is None:
+            row_a = adj[a] = {}
+        row_b = adj.get(b)
+        if row_b is None:
+            row_b = adj[b] = {}
         # symmetrized by max: keep the larger of the two directed reports
-        cur = self.adj[a].get(b, 0.0)
-        if weight > cur:
-            self.adj[a][b] = weight
-            self.adj[b][a] = weight
+        if weight > row_a.get(b, 0.0):
+            row_a[b] = weight
+            row_b[a] = weight
 
     def vertices(self) -> list[int]:
         return sorted(self.adj)
@@ -55,10 +59,11 @@ class InterferenceGraph:
 def build_graph(lists: dict[int, list[tuple[DiscoveryItem, float]]]) -> InterferenceGraph:
     """Interference graph from per-node candidate lists."""
     g = InterferenceGraph()
+    add_edge = g.add_edge
     for nid, entries in lists.items():
         g.add_vertex(nid)
         for item, utility in entries:
-            g.add_edge(nid, item.node_id, utility)
+            add_edge(nid, item.node_id, utility)
     return g
 
 
@@ -103,43 +108,56 @@ def _conflict(edges, channels: np.ndarray) -> float:
     return hit.cumsum()[-1].item() if len(hit) else 0
 
 
-def _sweep(bounds: list[int], idx: np.ndarray, wts: np.ndarray, assignment: np.ndarray,
+def _sweep(bounds: list[int], idx: np.ndarray, wts: np.ndarray, channels: np.ndarray,
            k: int) -> None:
-    """Move single nodes to their cheapest channel until no move helps.
+    """Move single nodes to their cheapest channel until no move helps,
+    in every column of a channel matrix at once.
 
-    Works in place on a channel array indexed by node position, over the
-    CSR arrays of _csr: ``idx[bounds[i]:bounds[i + 1]]`` holds the
-    positions of node i's neighbours and the same slice of ``wts`` the
-    edge weights, in adjacency order.  Passes run in index order, as full
-    passes would, but evaluate only dirty nodes: those with a neighbour
-    that moved since their last evaluation.  A node's move
-    depends only on its neighbours' channels, and its cost vector is
-    summed from scratch in adjacency order (np.bincount adds each bin's
-    weights in input order, starting from 0.0, so the vector has the bits
-    of a scalar loop), so a clean node would get the same bits and not
-    move; a node that just moved sits at its argmin and would not move
-    again.  The skipped evaluations are therefore exactly the ones that
-    make no move, and the search stops where full passes would stop: when
-    a pass finds nothing to move.  Total conflict strictly decreases on
-    every move, so this terminates.
+    Works in place on an n x R channel matrix indexed by node position,
+    one column per start.  The graph is given as the CSR arrays of _csr:
+    ``idx[bounds[i]:bounds[i + 1]]`` holds the positions of node i's
+    neighbours and the same slice of ``wts`` the edge weights, in
+    adjacency order.  While it runs, column r holds channel + r * k.
+
+    Each column makes exactly the moves of full passes in index order
+    over that column alone.  Passes evaluate only dirty nodes: those with
+    a neighbour that moved, in any column, since their last evaluation;
+    the scan wraps round to start the next pass.  One np.bincount gives
+    every column's cost vector at once: bin r * k + c sums column r's
+    weights on channel c in adjacency order, starting from 0.0, so it
+    has the bits of that column's own scalar loop.  A node's move depends
+    only on its neighbours' channels, so in a column where none of them
+    moved the vector has the bits of the node's last evaluation, and the
+    node does not move: it either stayed then or moved to that vector's
+    first argmin.  The skipped evaluations, and the evaluations of a dirty
+    node in its clean columns, are therefore exactly the ones that make
+    no move.  The search stops where full passes would stop: when a pass
+    finds nothing to move in any column.  Total conflict strictly
+    decreases on every move, so this terminates.
     """
-    dirty = bytearray([1]) * len(assignment)
+    cols = channels.shape[1]
+    dirty = bytearray([1]) * len(channels)
     mark = np.frombuffer(dirty, np.uint8)
+    offsets = np.arange(0, cols * k, k)
+    channels += offsets
     i = dirty.find(1)
     while i >= 0:
         dirty[i] = 0
         start, end = bounds[i], bounds[i + 1]
         near = idx[start:end]
-        cost = np.bincount(assignment[near], wts[start:end], k).tolist()
+        cost = np.bincount(channels[near].ravel(), wts[start:end].repeat(cols), cols * k)
         # weights are finite and positive: the first minimum is the
         # lowest cheapest channel
-        low = min(cost)
-        if low < cost[assignment.item(i)]:
-            assignment[i] = cost.index(low)
+        low = cost.reshape(cols, k).argmin(1) + offsets
+        row = channels[i]
+        move = cost[low] < cost[row]
+        if np.count_nonzero(move):
+            row[move] = low[move]
             mark[near] = 1
         i = dirty.find(1, i + 1)
         if i < 0:
             i = dirty.find(1)
+    channels -= offsets
 
 
 def greedy_assign(g: InterferenceGraph, k: int) -> dict[int, int]:
@@ -151,14 +169,21 @@ def greedy_assign(g: InterferenceGraph, k: int) -> dict[int, int]:
     single-node moves, plus _RESTARTS seeded random restarts:
     the plain greedy pass alone lands in poor local optima often enough
     to matter (it can leave conflict on instances a perfect assignment
-    would resolve completely).  Deterministic for a given graph.
+    would resolve completely).  Of the starts with the lowest conflict,
+    the first wins.  Deterministic for a given graph.
+
+    A greedy pass with no conflict is returned at once: no single move
+    can lower a zero cost, and no start can beat it.  Otherwise the
+    greedy start and all the restarts, drawn from one seeded generator
+    in a fixed order, are swept together as the columns of one matrix
+    (see _sweep), which makes each start's moves exactly as a sweep of
+    it alone would.  A restart after one that reaches zero conflict
+    cannot win, so sweeping it too leaves the result unchanged.
 
     k is clamped to max degree + 1.  That is exact: with that many
     channels every node has a free one at or below its degree, the
-    greedy pass leaves no conflict, and no sweep move or restart runs;
+    greedy pass leaves no conflict and is returned at once;
     a larger k only appends zero-cost channels the argmin never reaches.
-    The local search re-evaluates only nodes whose neighbours moved
-    (see _sweep), which makes the same moves as full passes.
 
     All sums run on CSR arrays built once per call, with the bits of
     scalar loops: np.bincount adds each bin's weights in input order
@@ -176,22 +201,21 @@ def greedy_assign(g: InterferenceGraph, k: int) -> dict[int, int]:
     # raised peak RSS on the 1,000-node bench runs by 1-2%
     bounds = starts.tolist()
     order = sorted(range(len(nodes)), key=lambda i: (-g.weighted_degree(nodes[i]), nodes[i]))
-    best = np.full(len(nodes), -1, np.intp)
+    greedy = np.full(len(nodes), -1, np.intp)
     for i in order:
         start, end = bounds[i], bounds[i + 1]
-        best[i] = np.bincount(best[idx[start:end]] + 1, wts[start:end], k + 1)[1:].argmin()
-    _sweep(bounds, idx, wts, best, k)
-    best_weight = _conflict(edges, best)
+        greedy[i] = np.bincount(greedy[idx[start:end]] + 1, wts[start:end], k + 1)[1:].argmin()
+    if _conflict(edges, greedy) == 0.0:
+        return dict(zip(nodes, greedy.tolist()))
     rng = Random(0x5EED)
-    for _ in range(_RESTARTS):
-        if best_weight == 0.0:
-            break
-        candidate = np.array([rng.randrange(k) for _ in nodes], np.intp)
-        _sweep(bounds, idx, wts, candidate, k)
-        weight = _conflict(edges, candidate)
-        if weight < best_weight:
-            best, best_weight = candidate, weight
-    return dict(zip(nodes, best.tolist()))
+    channels = np.empty((len(nodes), 1 + _RESTARTS), np.intp)
+    channels[:, 0] = greedy
+    for r in range(1, 1 + _RESTARTS):
+        channels[:, r] = [rng.randrange(k) for _ in nodes]
+    _sweep(bounds, idx, wts, channels, k)
+    weights = [_conflict(edges, column) for column in channels.T]
+    best = weights.index(min(weights))
+    return dict(zip(nodes, channels[:, best].tolist()))
 
 
 def conflict_weight(g: InterferenceGraph, assignment: dict[int, int]) -> float:

@@ -216,6 +216,25 @@ class ReferenceRandomView:
             self.entries = dict(ranked[:self.capacity])
 
 
+def reference_build_graph(lists) -> dict[int, dict[int, float]]:
+    """build_graph's adjacency, built with one setdefault per end: a row
+    appears when its id is first seen, as an owner or as a neighbour, and
+    each pair of distinct ids keeps the larger of its positive reports."""
+    adj: dict[int, dict[int, float]] = {}
+    for nid, entries in lists.items():
+        adj.setdefault(nid, {})
+        for item, utility in entries:
+            other = item.node_id
+            if other == nid or utility <= 0.0:
+                continue
+            adj.setdefault(nid, {})
+            adj.setdefault(other, {})
+            if utility > adj[nid].get(other, 0.0):
+                adj[nid][other] = utility
+                adj[other][nid] = utility
+    return adj
+
+
 def sorted_edges(g) -> list[tuple[int, int, float]]:
     """A graph's edges as (a, b, weight) with a < b, in sorted order."""
     return sorted((a, b, w) for a, nbrs in g.adj.items() for b, w in nbrs.items() if a < b)

@@ -5,6 +5,7 @@ import math
 import tracemalloc
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 from geogossip.spectrum import (
     HintState,
     InterferenceGraph,
+    _csr,
+    _sweep,
     build_graph,
     conflict_weight,
     export_assignment_csv,
@@ -19,7 +22,7 @@ from geogossip.spectrum import (
     local_conflict,
     qoe_step,
 )
-from helpers import brute_force_optimum, random_item, sorted_edges
+from helpers import brute_force_optimum, random_item, reference_build_graph, sorted_edges
 
 
 def graph_from_edges(edges):
@@ -77,9 +80,9 @@ def reference_sweep(g, assignment, k):
     return assignment
 
 
-def reference_assign(g, k):
-    """greedy_assign with full-pass sweeps and every conflict weight summed
-    from scratch."""
+def reference_greedy(g, k):
+    """The greedy pass alone: nodes by degree_key, each given the first
+    channel cheapest against the neighbours assigned before it."""
     order = sorted(g.vertices(), key=lambda n: degree_key(g, n))
     assignment = {}
     for node in order:
@@ -88,13 +91,25 @@ def reference_assign(g, k):
             if nbr in assignment:
                 cost[assignment[nbr]] += w
         assignment[node] = min(range(k), key=lambda c: (cost[c], c))
-    best = reference_sweep(g, assignment, k)
-    best_weight = sorted_sum(g, best)
+    return assignment
+
+
+def reference_restarts(g, k):
+    """The 16 seeded random restarts in order, each swept alone."""
     rng = Random(0x5EED)
     for _ in range(16):
+        yield reference_sweep(g, {n: rng.randrange(k) for n in g.vertices()}, k)
+
+
+def reference_assign(g, k):
+    """greedy_assign with full-pass sweeps, one start at a time, and every
+    conflict weight summed from scratch: the restarts stop at the first
+    start with zero conflict."""
+    best = reference_sweep(g, reference_greedy(g, k), k)
+    best_weight = sorted_sum(g, best)
+    for candidate in reference_restarts(g, k):
         if best_weight == 0.0:
             break
-        candidate = reference_sweep(g, {n: rng.randrange(k) for n in g.vertices()}, k)
         weight = sorted_sum(g, candidate)
         if weight < best_weight:
             best, best_weight = candidate, weight
@@ -133,6 +148,11 @@ def geometric_graph(n=300, radius=0.1, seed=9):
     return g
 
 
+def adjacency_bits(adj):
+    """Vertex order, row order and weight bits of an adjacency dict."""
+    return [(v, [(n, repr(w)) for n, w in row.items()]) for v, row in adj.items()]
+
+
 class TestGraph:
     def test_edges_symmetrized_by_max(self):
         g = graph_from_edges([(1, 2, 3.0), (2, 1, 5.0), (1, 2, 4.0)])
@@ -164,6 +184,37 @@ class TestGraph:
         g = build_graph(lists)
         assert g.vertices() == [1, 2, 3]
         assert g.adj == {1: {2: 2.5}, 2: {1: 2.5}, 3: {}}
+
+    def test_build_keeps_the_reference_order(self):
+        # asymmetric reports, zero and negative utilities, a self entry,
+        # and ids 9 and 7 seen only as neighbours
+        rng = Random(46)
+        item = {n: random_item(rng, node_id=n) for n in (1, 2, 3, 4, 7, 9)}
+        lists = {
+            3: [(item[9], 1.5), (item[1], 2.0), (item[3], 4.0), (item[7], 0.0)],
+            1: [(item[3], 3.0), (item[2], -1.0), (item[4], 0.5)],
+            4: [(item[1], 0.25), (item[9], 2.0)],
+            2: [],
+        }
+        g = build_graph(lists)
+        want = {3: {9: 1.5, 1: 3.0}, 9: {3: 1.5, 4: 2.0}, 1: {3: 3.0, 4: 0.5},
+                4: {1: 0.5, 9: 2.0}, 2: {}}
+        assert adjacency_bits(g.adj) == adjacency_bits(want)
+        assert adjacency_bits(g.adj) == adjacency_bits(reference_build_graph(lists))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_build_matches_reference(self, data):
+        ids = data.draw(st.lists(st.integers(0, 99), min_size=1, max_size=12, unique=True))
+        owners = data.draw(st.lists(st.sampled_from(ids), unique=True))
+        utility = st.sampled_from([-2.0, -0.0, 0.0, 5e-324, 1.0, 2.5]) | st.floats(-10.0, 10.0)
+        lists = {
+            nid: [(random_item(Random(b), node_id=b), u) for b, u in data.draw(
+                st.lists(st.tuples(st.sampled_from(ids), utility), max_size=8))]
+            for nid in owners
+        }
+        g = build_graph(lists)
+        assert adjacency_bits(g.adj) == adjacency_bits(reference_build_graph(lists))
 
 
 class TestGreedyAssign:
@@ -211,6 +262,36 @@ class TestGreedyAssign:
         assert got == greedy_assign(g, enough) == reference_assign(g, enough + extra)
         assert conflict_weight(g, got) == 0.0
 
+    def test_empty_graph(self):
+        g = InterferenceGraph()
+        assert greedy_assign(g, 3) == reference_assign(g, 3) == {}
+
+    def test_isolated_vertices_only(self):
+        g = InterferenceGraph()
+        for v in (5, -3, 0, 12):
+            g.add_vertex(v)
+        assert greedy_assign(g, 3) == reference_assign(g, 3) == dict.fromkeys((-3, 0, 5, 12), 0)
+
+    def test_conflict_free_greedy_pass_is_returned(self):
+        # k is below max degree + 1, so the clamp alone does not make the
+        # greedy pass conflict-free
+        g = random_graph(Random(6), n=12, density=0.4)
+        assert 3 < 1 + max(map(len, g.adj.values()))
+        greedy = reference_greedy(g, 3)
+        assert sorted_sum(g, greedy) == 0
+        assert greedy_assign(g, 3) == reference_assign(g, 3) == dict(sorted(greedy.items()))
+
+    def test_restarts_after_a_zero_change_nothing(self):
+        # the sixth restart reaches zero conflict: the one-at-a-time
+        # reference stops there, while greedy_assign sweeps all 16
+        g = random_graph(Random(4), n=12, density=0.3)
+        assert sorted_sum(g, reference_sweep(g, reference_greedy(g, 3), 3)) > 0.0
+        weights = [sorted_sum(g, start) for start in reference_restarts(g, 3)]
+        assert weights.index(0) == 5
+        assignment = greedy_assign(g, 3)
+        assert assignment == reference_assign(g, 3)
+        assert conflict_weight(g, assignment) == 0
+
     def test_single_channel_total_weight(self):
         g = random_graph(Random(43))
         assignment = greedy_assign(g, 1)
@@ -251,6 +332,19 @@ class TestConflictAccounting:
         want = reference_assign(g, k)
         assert list(got.items()) == list(want.items())
         assert repr(conflict_weight(g, got)) == repr(conflict_weight(g, want))
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_graphs(), st.integers(1, 4), st.integers(1, 5), st.data())
+    def test_lockstep_sweep_matches_each_start_alone(self, g, k, cols, data):
+        nodes = g.vertices()
+        starts = [data.draw(st.lists(st.integers(0, k - 1), min_size=len(nodes),
+                                     max_size=len(nodes))) for _ in range(cols)]
+        channels = np.array(starts, np.intp).T
+        bounds, idx, wts = _csr(g, nodes)
+        _sweep(bounds.tolist(), idx, wts, channels, k)
+        for r, start in enumerate(starts):
+            want = reference_sweep(g, dict(zip(nodes, start)), k)
+            assert dict(zip(nodes, channels[:, r].tolist())) == want
 
     def test_pinned_assignment(self):
         # all 16 restarts run, since no assignment here reaches zero conflict
