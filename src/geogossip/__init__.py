@@ -8,7 +8,7 @@ from .wire import (
     decode,
     encode,
 )
-from .sampling import EmptyViewError, PeerDescriptor, RandomView
+from .sampling import EmptyViewError, RandomView
 from .overlay import RankedView, candidate_list
 from .scenario import (
     ChurnEvent,

@@ -45,12 +45,13 @@ def cmd_gen(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    out = _outpath(args.out)
     try:
-        scn.save_scenario(s, _outpath(args.out))
+        scn.save_scenario(s, out)
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
         return 1
-    print(f"wrote {args.out}: {args.n} nodes, seed node {s.seeds[0]}")
+    print(f"wrote {out}: {args.n} nodes, seed node {s.seeds[0]}")
     return 0
 
 
@@ -91,8 +92,9 @@ def _run_and_report(s, args, out_csv: str) -> int:
         for row in series.rows:
             print(f"round {row.round}: mean_recall={row.mean_recall:.4f} "
               f"min_recall={row.min_recall:.4f} live={row.live_nodes}")
+    out_csv = _outpath(out_csv)
     try:
-        series.to_csv(_outpath(out_csv))
+        series.to_csv(out_csv)
     except OSError as exc:
         print(f"error: cannot write {out_csv}: {exc}", file=sys.stderr)
         return 1
@@ -134,10 +136,11 @@ def cmd_assign(args) -> int:
     sim.run(args.rounds)
     graph = spectrum.build_graph(sim.candidate_lists())
     assignment = spectrum.greedy_assign(graph, args.channels)
+    out = _outpath(args.out)
     try:
-        spectrum.export_assignment_csv(graph, assignment, _outpath(args.out))
+        spectrum.export_assignment_csv(graph, assignment, out)
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
         return 1
     total = spectrum.conflict_weight(graph, assignment)
     print(f"assigned {len(assignment)} nodes to {args.channels} channels, "

@@ -246,7 +246,7 @@ def buffer_for(view: RankedView, random_view: RandomView,
     """
     ranked = view.entries
     items = [own_item, *[pair[0] for _, _, _, pair in ranked.values()],
-             *[desc.item for nid, desc in random_view.entries.items() if nid not in ranked]]
+             *[item for nid, item in random_view.entries.items() if nid not in ranked]]
     dists = distances_np(peer_lat, peer_lon,
                          np.array([it.latitude for it in items]),
                          np.array([it.longitude for it in items]))

@@ -1,15 +1,13 @@
 """Random peer sampling: bounded partial view refreshed by push-pull gossip.
 
-Each node keeps a small random sample of the overlay (the random view).
-Every round it exchanges a buffer of descriptors with one partner; merged
-descriptors are deduplicated by node id, aged each round, and the oldest
-are evicted when the view overflows.  Aging doubles as churn cleanup:
-descriptors of dead nodes stop being refreshed and fall out.
+Each node keeps a small random sample of the overlay (the random view):
+one received item per node id.  Every round it exchanges a buffer of
+items with one partner.  A merge keeps each node's newest item, and the
+oldest timestamps are evicted when the view overflows.  Aging doubles as
+churn cleanup: items of dead nodes stop being refreshed and fall out.
 """
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from operator import attrgetter
 from random import Random
 
 from .wire import DiscoveryItem
@@ -32,13 +30,8 @@ def _salt64(owner_id: int, node_id: int) -> int:
     return z ^ (z >> 31)
 
 
-@dataclass(slots=True)
-class PeerDescriptor:
-    item: DiscoveryItem
-    age: int  # gossip rounds since the item was created
-
-
-_age = attrgetter("age")
+def _newest_first(item: DiscoveryItem) -> int:
+    return -item.timestamp_ms
 
 
 class RandomView:
@@ -47,63 +40,63 @@ class RandomView:
             raise ValueError("capacity must be >= 1")
         self.owner_id = owner_id
         self.capacity = capacity
-        self.entries: dict[int, PeerDescriptor] = {}
+        self.entries: dict[int, DiscoveryItem] = {}
 
     def drop(self, node_id: int):
         self.entries.pop(node_id, None)
 
     def tick(self):
-        for desc in self.entries.values():
-            desc.age += 1
+        """End-of-round hook; it does nothing.  ``bench/tracer.py`` binds
+        it by name as the ``sampling.tick`` span, and
+        ``tests/test_bench.py`` requires that span to be entered, so
+        ``Simulation.step`` still calls it once per live view."""
 
-    def merge(self, items, now_ms: int, period_ms: int):
-        """Merge received items, ages reconstructed from their timestamps:
-        dedup keeping the youngest copy (within one age the held copy
-        stays), never store self, evict the oldest entries past capacity.
-        Among entries of the age at the capacity cut, the owner-salted mix
-        ``_salt64(owner, id)`` decides; it is computed for that age alone.
+    def merge(self, items):
+        """Merge received items: dedup keeping the newer timestamp (a copy
+        of the held timestamp does not replace the held one), never store
+        self, evict the oldest timestamps past capacity.  Among entries of
+        the timestamp at the capacity cut, the owner-salted mix
+        ``_salt64(owner, id)`` decides; it is computed for that timestamp
+        alone.
 
-        Age is the view's only clock.  In the engine every timestamp is a
-        multiple of the period and every live view ticks once a round, so
-        one age means one timestamp."""
+        In the engine every timestamp is a multiple of the period and
+        never later than now, so this is the order of ages in periods."""
         owner = self.owner_id
-        entries_get = self.entries.get
+        entries = self.entries
+        entries_get = entries.get
         for item in items:
             nid = item.node_id
             if nid == owner:
                 continue
-            age = (now_ms - item.timestamp_ms) // period_ms
-            if age < 0:
-                age = 0
             cur = entries_get(nid)
-            if cur is None or age < cur.age:
-                self.entries[nid] = PeerDescriptor(item, age)
+            if cur is None or item.timestamp_ms > cur.timestamp_ms:
+                entries[nid] = item
         self._evict()
 
     def _evict(self):
         capacity = self.capacity
         if len(self.entries) > capacity:
-            ranked = sorted(self.entries.values(), key=_age)
-            cut = ranked[capacity - 1].age
-            if ranked[capacity].age == cut:
-                # age ties are common (items minted the same round), so the
-                # last tie-break is the owner-salted mix: a plain id ordering
-                # would evict the same nodes from every view in the overlay
-                lo = bisect_left(ranked, cut, hi=capacity, key=_age)
-                hi = bisect_right(ranked, cut, lo=capacity, key=_age)
+            ranked = sorted(self.entries.values(), key=_newest_first)
+            cut = _newest_first(ranked[capacity - 1])
+            if _newest_first(ranked[capacity]) == cut:
+                # timestamp ties are common (items minted the same round), so
+                # the last tie-break is the owner-salted mix: a plain id
+                # ordering would evict the same nodes from every view
+                lo = bisect_left(ranked, cut, hi=capacity, key=_newest_first)
+                hi = bisect_right(ranked, cut, lo=capacity, key=_newest_first)
                 owner = self.owner_id
                 ranked[lo:hi] = sorted(ranked[lo:hi],
-                                       key=lambda d: _salt64(owner, d.item.node_id))
-            self.entries = {d.item.node_id: d for d in ranked[:capacity]}
+                                       key=lambda it: _salt64(owner, it.node_id))
+            self.entries = {it.node_id: it for it in ranked[:capacity]}
 
 
 def sample_partner(view: RandomView, rng: Random) -> int:
-    """Pick the exchange partner: the oldest entry (healer-biased).  Age
-    ties are broken uniformly at random."""
+    """Pick the exchange partner: the entry of the oldest timestamp
+    (healer-biased).  Ties are broken uniformly at random."""
     if not view.entries:
         raise EmptyViewError(f"node {view.owner_id} has an empty random view")
-    max_age = max(d.age for d in view.entries.values())
-    oldest = sorted(nid for nid, d in view.entries.items() if d.age == max_age)
+    oldest_ts = min(it.timestamp_ms for it in view.entries.values())
+    oldest = sorted(nid for nid, it in view.entries.items() if it.timestamp_ms == oldest_ts)
     return rng.choice(oldest)
 
 
@@ -113,9 +106,9 @@ def make_push_buffer(
     """Push buffer: own fresh descriptor first, then up to `half` random entries."""
     others = sorted(view.entries)
     picked = rng.sample(others, min(half, len(others)))
-    return [own_item] + [view.entries[n].item for n in picked]
+    return [own_item] + [view.entries[n] for n in picked]
 
 
-def merge_random(view: RandomView, received, now_ms: int, period_ms: int):
-    """Merge received items into the view (ages derived from timestamps)."""
-    view.merge(received, now_ms, period_ms)
+def merge_random(view: RandomView, received):
+    """Merge received items into the view."""
+    view.merge(received)

@@ -96,6 +96,8 @@ class Scenario:
         ids = [n.node_id for n in self.nodes]
         if len(ids) != len(set(ids)):
             raise ValueError("node ids must be unique")
+        if len(self.seeds) != len(set(self.seeds)):
+            raise ValueError(f"seed ids must be unique: {list(self.seeds)}")
         initial = set(ids)
         missing = [s for s in self.seeds if s not in initial]
         if missing:

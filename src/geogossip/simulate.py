@@ -254,7 +254,7 @@ class Simulation:
             others = sorted(set(self.nodes) - {own_id})
             seeds = [self.nodes[self.rng.choice(others)].own_item(now_ms)]
         if seeds:
-            merge_random(node.random_view, seeds, now_ms, self.params.period_ms)
+            merge_random(node.random_view, seeds)
             node.ranked.merge(seeds, now_ms, self.stale_ms)
 
     def apply_churn(self, events: list[ChurnEvent], now_ms: int):
@@ -298,10 +298,9 @@ class Simulation:
         )
         self._record(buf_a)
         self._record(buf_b)
-        period_ms = self.params.period_ms
-        merge_random(partner.random_view, buf_a, now_ms, period_ms)
+        merge_random(partner.random_view, buf_a)
         partner.ranked.merge(buf_a, now_ms, self.stale_ms)
-        merge_random(node.random_view, buf_b, now_ms, period_ms)
+        merge_random(node.random_view, buf_b)
         node.ranked.merge(buf_b, now_ms, self.stale_ms)
 
     def _overlay_buffer(self, node: _Node, peer: _Node, now_ms: int) -> OverlayBuffer:

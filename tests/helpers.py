@@ -185,9 +185,42 @@ def splitmix64_pair(owner_id: int, node_id: int) -> int:
 
 class ReferenceRandomView:
     """The random-view merge that salts every entry as it enters and
-    evicts on (age, salt), the order RandomView keeps while salting only
-    the age tied at the capacity cut.  ``entries`` maps an id to
-    [item, age]."""
+    evicts on (newest timestamp, salt), the order RandomView keeps while
+    salting only the timestamp tied at the capacity cut.  ``entries``
+    maps an id to its item."""
+
+    def __init__(self, owner_id: int, capacity: int):
+        self.owner_id = owner_id
+        self.capacity = capacity
+        self.entries: dict[int, DiscoveryItem] = {}
+
+    def drop(self, node_id: int):
+        self.entries.pop(node_id, None)
+
+    def merge(self, items):
+        for item in items:
+            nid = item.node_id
+            if nid == self.owner_id:
+                continue
+            held = self.entries.get(nid)
+            if held is None or item.timestamp_ms > held.timestamp_ms:
+                self.entries[nid] = item
+        if len(self.entries) > self.capacity:
+            ranked = sorted(self.entries.items(),
+                            key=lambda kv: (-kv[1].timestamp_ms,
+                                            splitmix64_pair(self.owner_id, kv[0])))
+            self.entries = dict(ranked[:self.capacity])
+
+
+class AgedRandomView:
+    """The random view as it was when each entry carried an age in gossip
+    periods: ``tick`` ages every entry by one, a merged item enters at the
+    age its timestamp gives against now, clamped at 0, and a copy
+    replaces the held one only when it is strictly younger.  Eviction is
+    on (age, salt).  ``entries`` maps an id to [item, age].
+
+    It is the oracle for engine traffic: timestamps on the period grid,
+    none later than now, and one tick each time now advances a period."""
 
     def __init__(self, owner_id: int, capacity: int):
         self.owner_id = owner_id

@@ -63,6 +63,21 @@ class TestGen:
         rc = main(["gen", "--n", "5", "--out", "rel.txt"])
         assert rc == 0
         assert (tmp_path / "rel.txt").exists()
+        # the message names the path written, not the one given
+        assert capsys.readouterr().out.startswith(f"wrote {tmp_path / 'rel.txt'}:")
+
+
+@pytest.mark.parametrize("command", [
+    ["gen", "--n", "5"], ["run", "--rounds", "2"], ["assign", "--rounds", "2"],
+], ids=["gen", "run", "assign"])
+def test_unwritable_output_under_env_var_names_the_resolved_path(
+        command, demo_path, tmp_path, capsys, monkeypatch):
+    base = tmp_path / "missing"
+    monkeypatch.setenv("GEOGOSSIP_OUT", str(base))
+    args = command[:1] + ([] if command[0] == "gen" else [demo_path]) + command[1:]
+    rc = main(args + ["--out", "out.csv"])
+    assert rc == 1
+    assert f"cannot write {base / 'out.csv'}:" in capsys.readouterr().err
 
 
 class TestRun:
@@ -117,9 +132,10 @@ _ONE_NODE = "[nodes]\n1 0.0 0.0 5.0\n\n[seeds]\n1\n\n"
     _ONE_NODE + "[churn]\n2 leave 1 junk\n",
     "c_far = 3\npartner_strategy = oldest\nc_rand = 30\nsample_half = 15\nc_rank = 20\n"
     "p_far = 0.1\nrecent_rounds = 5\nstale_rounds = 10\n" + _ONE_NODE,
+    _ONE_NODE + "1\n",
 ], ids=["non-numeric", "removed-key-c-rand", "latitude-95", "churn-negative-round",
         "leave-of-non-member", "join-of-live-id", "double-leave", "churn-extra-field",
-        "removed-param-keys"])
+        "removed-param-keys", "repeated-seed"])
 def test_invalid_scenario_exits_2(command, text, tmp_path, capsys):
     path = tmp_path / "bad.scn"
     path.write_text(text)

@@ -50,9 +50,9 @@ def pair_of(view, node_id):
 
 
 def random_view_with(owner_id, items):
-    """A random view holding items, each at age 0."""
+    """A random view holding items."""
     rv = RandomView(owner_id=owner_id, capacity=10)
-    rv.merge(items, now_ms=max(i.timestamp_ms for i in items), period_ms=15_000)
+    rv.merge(items)
     return rv
 
 
@@ -288,7 +288,7 @@ class TestBufferFor:
             view.merge(list(ranked), now_ms=2000, stale_ms=10**9)
         rv = RandomView(1, C_RAND)
         if rand:
-            rv.merge(list(rand), now_ms=2000, period_ms=15_000)
+            rv.merge(list(rand))
         return view, rv
 
     def test_own_item_first_and_peer_tailored(self):
@@ -574,7 +574,7 @@ class TestCarriedDistances:
             receiver.merge(arg, stream.now_ms, stream.stale_ms)
             if arg and rng.random() < 0.5:
                 sender.merge(arg, stream.now_ms, stream.stale_ms)
-                rv.merge(arg, stream.now_ms, PERIOD_MS)
+                rv.merge(arg)
         own = stream.item(sender_id, stream.now_ms)
         buf = buffer_for(sender, rv, own, stream.lat, stream.lon, stream.radius)
         return stream, receiver, buf

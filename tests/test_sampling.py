@@ -8,7 +8,6 @@ from scipy.stats import chisquare
 from geogossip import sampling
 from geogossip.sampling import (
     EmptyViewError,
-    PeerDescriptor,
     RandomView,
     make_push_buffer,
     merge_random,
@@ -16,7 +15,7 @@ from geogossip.sampling import (
 )
 from geogossip.scenario import four_node_demo
 from geogossip.simulate import Simulation
-from helpers import ReferenceRandomView, random_item
+from helpers import AgedRandomView, ReferenceRandomView, random_item
 
 PERIOD = 15_000
 NOW = 1_000 * PERIOD
@@ -24,7 +23,7 @@ NOW = 1_000 * PERIOD
 
 def merge_aged(view, items, age):
     """Merge items stamped `age` gossip periods before NOW."""
-    view.merge([replace(it, timestamp_ms=NOW - age * PERIOD) for it in items], NOW, PERIOD)
+    view.merge([replace(it, timestamp_ms=NOW - age * PERIOD) for it in items])
 
 
 def fill(view, rng, n, age=0):
@@ -46,20 +45,24 @@ class TestRandomView:
         item = random_item(rng, node_id=5)
         merge_aged(view, [item], 4)
         merge_aged(view, [item], 1)
-        assert view.entries[5].age == 1
+        assert view.entries[5].timestamp_ms == NOW - PERIOD
         merge_aged(view, [item], 3)
-        assert view.entries[5].age == 1  # older copy ignored
+        assert view.entries[5].timestamp_ms == NOW - PERIOD  # older copy ignored
 
     def test_equal_age_keeps_held_copy(self):
-        # age is the view's only clock: a copy of the same age does not
-        # replace the held one, whatever its timestamp
+        # the timestamp is the view's only clock: a copy of the held
+        # timestamp does not replace the held one, whatever else it carries,
+        # and a copy newer by a millisecond does
         rng = Random(25)
         view = RandomView(owner_id=1, capacity=10)
-        held = replace(random_item(rng, node_id=5), timestamp_ms=NOW - 2 * PERIOD + 1)
-        later = replace(held, timestamp_ms=NOW - PERIOD)
-        view.merge([held], NOW, PERIOD)
-        view.merge([later], NOW, PERIOD)
-        assert view.entries[5].item is held
+        held = replace(random_item(rng, node_id=5), timestamp_ms=NOW - PERIOD)
+        moved = replace(held, latitude=-held.latitude, radius=held.radius + 1.0)
+        view.merge([held])
+        view.merge([moved])
+        assert view.entries[5] is held
+        later = replace(moved, timestamp_ms=held.timestamp_ms + 1)
+        view.merge([later])
+        assert view.entries[5] is later
 
     def test_capacity_bound_evicts_oldest(self):
         rng = Random(22)
@@ -71,12 +74,17 @@ class TestRandomView:
         for it in young:
             assert it.node_id in view.entries
 
-    def test_tick_ages_everything(self):
+    def test_tick_leaves_entries_unchanged(self):
+        # an item's age is read off its timestamp, so the end of a round
+        # has nothing to update
         rng = Random(23)
         view = RandomView(owner_id=1, capacity=10)
         fill(view, rng, 4, age=2)
+        before = list(view.entries.items())
         view.tick()
-        assert all(d.age == 3 for d in view.entries.values())
+        assert len(view.entries) == len(before)
+        assert all(a == nid and b is item
+                   for (a, b), (nid, item) in zip(view.entries.items(), before))
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
@@ -96,10 +104,16 @@ class TestRandomView:
         assert len(survivors) == 40  # every id survives in some view
 
 
+def same_entries(view, held: dict) -> bool:
+    """Whether view holds the ids of held, each with the very item held."""
+    return (view.entries.keys() == held.keys()
+            and all(view.entries[nid] is item for nid, item in held.items()))
+
+
 class TestEvictionMatchesSaltingEverything:
-    """RandomView salts only the age tied at the capacity cut; it must keep
-    the ids and ages of a view that salts every entry and sorts on
-    (age, salt)."""
+    """RandomView salts only the timestamp tied at the capacity cut; it
+    must keep the ids and items of a view that salts every entry and sorts
+    on (newest timestamp, salt)."""
 
     @staticmethod
     def replay(seed, steps=80):
@@ -114,21 +128,20 @@ class TestEvictionMatchesSaltingEverything:
             if op < 0.1:
                 now += PERIOD
                 view.tick()
-                ref.tick()
             elif op < 0.2:
                 nid = rng.choice(ids)
                 view.drop(nid)
                 ref.drop(nid)
             else:
-                # few distinct ages, so the cut often falls inside a tie
+                # few distinct timestamps, some off the period grid, so the
+                # cut often falls inside a tie
                 batch = [replace(random_item(rng, node_id=rng.choice(ids)),
                                  timestamp_ms=now - rng.randint(0, 3) * PERIOD
                                  + rng.choice([0, 0, 1, PERIOD - 1]))
                          for _ in range(rng.randint(0, 2 * capacity))]
-                view.merge(batch, now, PERIOD)
-                ref.merge(batch, now, PERIOD)
-            assert ({nid: (d.item, d.age) for nid, d in view.entries.items()}
-                    == {nid: (item, age) for nid, (item, age) in ref.entries.items()})
+                view.merge(batch)
+                ref.merge(batch)
+            assert same_entries(view, ref.entries)
         return view
 
     def test_fuzzed_streams(self):
@@ -153,15 +166,61 @@ class TestEvictionMatchesSaltingEverything:
         assert sorted(salted) == [3, 4, 5, 6]
         assert len(view.entries) == 3 and 2 in view.entries
 
-    def test_a_descriptor_holds_no_salt(self):
-        assert tuple(PeerDescriptor.__slots__) == ("item", "age")
+    def test_entries_are_the_merged_items(self):
+        # a view stores nothing per entry but the item it received: no
+        # salt, no age, no wrapper
+        rng = Random(36)
+        items = [random_item(rng, node_id=i) for i in range(2, 8)]
+        view = RandomView(owner_id=1, capacity=10)
+        view.merge(items)
+        assert same_entries(view, {it.node_id: it for it in items})
+
+
+class TestTimestampOrderMatchesAges:
+    """On engine traffic, ordering on the timestamp keeps what ordering on
+    ages kept.  The oracle is the view that aged every entry at each tick
+    and derived a merged item's age from its timestamp; both are fed
+    streams whose timestamps lie on the period grid, none later than now,
+    with now advancing by whole periods.  After every merge, drop or tick
+    both must hold the same ids and the same items."""
+
+    @staticmethod
+    def replay(seed, steps=120):
+        rng = Random(seed)
+        owner = rng.choice([0, 1, 7, rng.getrandbits(64)])
+        capacity = rng.randint(1, 12)
+        ids = [owner] + rng.sample(range(1, 10_000), rng.randint(capacity, 3 * capacity + 4))
+        view, aged = RandomView(owner, capacity), AgedRandomView(owner, capacity)
+        now = NOW
+        for _ in range(steps):
+            op = rng.random()
+            if op < 0.15:
+                now += PERIOD
+                view.tick()
+                aged.tick()
+            elif op < 0.25:
+                nid = rng.choice(ids)
+                view.drop(nid)
+                aged.drop(nid)
+            else:
+                batch = [replace(random_item(rng, node_id=rng.choice(ids)),
+                                 timestamp_ms=now - rng.randint(0, 4) * PERIOD)
+                         for _ in range(rng.randint(0, 2 * capacity))]
+                view.merge(batch)
+                aged.merge(batch, now, PERIOD)
+            assert same_entries(view, {nid: item for nid, (item, _) in aged.entries.items()})
+        return view
+
+    def test_engine_streams(self):
+        views = [self.replay(seed) for seed in range(300)]
+        assert sum(len(v.entries) == v.capacity for v in views) > 200  # most ended full
 
 
 class TestBootstrap:
     def test_empty_seed_list_rejected(self):
         # a view bootstrapped from no seeds has nobody to exchange with
         view = RandomView(owner_id=1, capacity=10)
-        view.merge([], NOW, PERIOD)
+        view.merge([])
         with pytest.raises(EmptyViewError):
             sample_partner(view, Random(0))
 
@@ -170,7 +229,7 @@ class TestBootstrap:
         for nid in (2, 3, 4):
             view = sim.nodes[nid].random_view
             assert list(view.entries) == [1]
-            assert view.entries[1].age == 0
+            assert view.entries[1].timestamp_ms == 0  # stamped in round 0
 
 
 class TestPartnerSelection:
@@ -230,25 +289,38 @@ class TestBuffers:
 
 
 class TestAgeFromTimestamp:
+    """An item's age in periods is (now - timestamp) // period, read off
+    the item the view holds."""
+
     def test_age_reconstruction(self):
         rng = Random(32)
         item = random_item(rng, node_id=3)
         item = replace(item, timestamp_ms=100_000)
         view = RandomView(owner_id=1, capacity=10)
-        merge_random(view, [item], now_ms=160_000, period_ms=15_000)
-        assert view.entries[3].age == 4
+        merge_random(view, [item])
+        assert view.entries[3] is item
+        assert (160_000 - view.entries[3].timestamp_ms) // 15_000 == 4
 
-    def test_future_timestamp_clamps_to_zero(self):
+    def test_future_timestamp_counts_as_newest(self):
+        # nothing clamps a timestamp later than now: it is the newest,
+        # kept first at the capacity cut and chosen as partner last
         rng = Random(33)
-        item = random_item(rng, node_id=3)
-        item = replace(item, timestamp_ms=200_000)
-        view = RandomView(owner_id=1, capacity=10)
-        merge_random(view, [item], now_ms=100_000, period_ms=15_000)
-        assert view.entries[3].age == 0
+        view = RandomView(owner_id=1, capacity=2)
+        stamps = {3: 100_000, 4: 200_000, 5: 150_000}
+        merge_random(view, [replace(random_item(rng, node_id=n), timestamp_ms=ts)
+                            for n, ts in stamps.items()])
+        assert sorted(view.entries) == [4, 5]
+        assert sample_partner(view, rng) == 5
 
     def test_merge_random_uses_derived_ages(self):
+        # at now 120 s, the held copy is 2 periods old: a copy 4 periods
+        # old is ignored and one 1 period old replaces it
         rng = Random(34)
         view = RandomView(owner_id=1, capacity=10)
         fresh = replace(random_item(rng, node_id=2), timestamp_ms=90_000)
-        merge_random(view, [fresh], now_ms=120_000, period_ms=15_000)
-        assert view.entries[2].age == 2
+        merge_random(view, [fresh])
+        merge_random(view, [replace(fresh, timestamp_ms=60_000)])
+        assert view.entries[2] is fresh
+        newer = replace(fresh, timestamp_ms=105_000)
+        merge_random(view, [newer])
+        assert view.entries[2] is newer

@@ -60,6 +60,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             Scenario(nodes=[NodeSpec(1, 0.0, 0.0, 10.0)], seeds=[2])
 
+    def test_repeated_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed ids must be unique"):
+            replace(four_node_demo(), seeds=(1, 1))
+
     @pytest.mark.parametrize("bad", [
         (-1, 0.0, 0.0, 10.0),
         (1 << 64, 0.0, 0.0, 10.0),
@@ -358,13 +362,15 @@ class TestFileRoundTrip:
         _ONE_NODE + "[churn]\n3 join 1 0.0 0.0 5.0\n",
         _ONE_NODE + "[churn]\n0 leave 1\n1 leave 1\n",
         _ONE_NODE + "[churn]\n2 leave 1 junk\n",
+        _ONE_NODE + "1\n",
     ], ids=["non-numeric-param", "non-numeric-seed", "removed-key-c-rand", "removed-key-p-far",
             "removed-key-partner-strategy", "removed-key-c-far",
             "removed-key-sample-half", "zero-period", "unknown-key",
             "header-without-equals", "repeated-key", "empty-unknown-section",
             "node-latitude-95", "node-negative-radius",
             "churn-missing-field", "joiner-latitude-95", "churn-negative-round",
-            "leave-of-non-member", "join-of-live-id", "double-leave", "churn-extra-field"])
+            "leave-of-non-member", "join-of-live-id", "double-leave", "churn-extra-field",
+            "repeated-seed"])
     def test_every_failure_is_a_format_error(self, text):
         with pytest.raises(ScenarioFormatError):
             loads(text)
@@ -413,7 +419,7 @@ def _scenarios(draw):
             joiner = draw(_SPEC.filter(lambda n: n.node_id not in live))
             live.add(joiner.node_id)
             churn.append(ChurnEvent(rnd, "join", node=joiner))
-    return Scenario(nodes=nodes, seeds=draw(st.lists(st.sampled_from(ids), max_size=3)),
+    return Scenario(nodes=nodes, seeds=draw(st.lists(st.sampled_from(ids), max_size=3, unique=True)),
                     params=draw(_PARAMS), churn=churn, rng_seed=draw(st.integers(0, 1 << 64)))
 
 

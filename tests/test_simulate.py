@@ -32,6 +32,7 @@ from geogossip.simulate import (
     UnknownNodeError,
     convergence_round,
 )
+from geogossip.wire import DiscoveryItem
 from helpers import oracle_sets
 
 
@@ -266,18 +267,22 @@ class TestGoldenTrajectory:
 
 
 class TestRandomViewClock:
-    def test_age_is_a_function_of_the_timestamp(self):
-        # why the random view orders on age alone: in the engine a
-        # descriptor's age is its timestamp's distance from now, in periods
+    def test_timestamps_lie_on_the_period_grid(self):
+        # why the random view orders on the timestamp alone: in the engine
+        # every item it holds is stamped a whole number of periods, never
+        # later than the round that merged it, so newer means younger in
+        # periods and one age means one timestamp
         sim = Simulation(golden_scenario())
         period_ms = sim.params.period_ms
         checked = 0
         for _ in range(20):
-            sim.step()
             now_ms = sim.round * period_ms
+            sim.step()
             for node in sim.nodes.values():
-                for desc in node.random_view.entries.values():
-                    assert desc.age == (now_ms - desc.item.timestamp_ms) // period_ms
+                for nid, item in node.random_view.entries.items():
+                    assert type(item) is DiscoveryItem and item.node_id == nid
+                    assert item.timestamp_ms % period_ms == 0
+                    assert item.timestamp_ms <= now_ms
                     checked += 1
         assert checked > 100_000
 
@@ -362,7 +367,7 @@ class TestCandidateLists:
             sim.step()
             for node in sim.nodes.values():
                 pinned = node.ranked.candidate_ids()
-                items = [d.item for d in node.random_view.entries.values()]
+                items = list(node.random_view.entries.values())
                 if items:
                     spec = node.spec
                     dists = distances_np(spec.latitude, spec.longitude,
