@@ -91,6 +91,13 @@ def convergence_round(series: MetricsSeries, threshold: float) -> int | None:
     return None
 
 
+# at most this many (owner, other) pairs go to one kernel call in the oracle
+# build and the round-0 bootstrap: an array of every pair would cost
+# megabytes that the allocator keeps after set-up, while at this size each
+# call's temporaries stay near 1-2 MB
+PAIRS_PER_CALL = 1 << 14
+
+
 class LatitudeIndex:
     """The exhaustive candidate oracle over a changing membership.
 
@@ -100,10 +107,16 @@ class LatitudeIndex:
     bounds every member's radius: scanning that band with the one distance
     kernel gives i's exact candidate set anywhere on the sphere, across
     the antimeridian and at the poles alike.  ``candidates`` maps each
-    member to its candidates' ids as a sorted tuple.  A join or a leave
-    updates the sorted arrays and rebuilds the tuples of the members it
-    touches; nothing else is rebuilt, and memory stays linear in the
-    membership.
+    member to its candidates' ids as a sorted tuple.
+
+    The build is a one-dimensional sweep: each pair is tested once, by its
+    member earlier in latitude order, over the part of that member's band
+    ahead of it, and the pairs go to the kernel in chunks of at most
+    ``PAIRS_PER_CALL``.  The kernel gives either end of a pair the same
+    distance and the radius sum commutes, so a hit counts for both
+    members.  A join scans the joiner's whole band with the same band and
+    pair test; a join or a leave rebuilds the tuples of the members it
+    touches, nothing else, and memory stays linear in the membership.
     ``LatitudeIndex(specs).candidates`` is the oracle for a fixed set of
     nodes; ``Simulation.oracle`` follows the live membership.
     """
@@ -121,20 +134,68 @@ class LatitudeIndex:
         self.lons = np.array([s.longitude for s in specs], dtype=np.float64)
         self.rads = np.array([s.radius for s in specs], dtype=np.float64)
         self.r_max = float(self.rads.max()) if specs else 0.0  # never lowered
-        self.candidates: dict[int, tuple[int, ...]] = {
-            s.node_id: self._scan(s) for s in specs
-        }
+        self.candidates: dict[int, tuple[int, ...]] = self._build()
+
+    def _half(self, radius):
+        """Half-width, in degrees, of the latitude band that holds every
+        candidate of a member of this radius (a scalar or an array)."""
+        return (radius + self.r_max) / METERS_PER_DEG_LAT * self._BAND_REL + self._BAND_DEG
+
+    def _hits(self, own, other):
+        """Whether the disks at positions own and other strictly overlap;
+        own is one position or an array of them, other an array."""
+        lats, lons, rads = self.lats, self.lons, self.rads
+        dists = distances_np(lats[own], lons[own], lats[other], lons[other])
+        return dists < rads[own] + rads[other]
+
+    def _build(self) -> dict[int, tuple[int, ...]]:
+        ids, n = self.ids, len(self.ids)
+        # member p tests positions p + 1 ... ends[p] - 1; its pairs are
+        # numbers offsets[p] - (ends[p] - p - 1) ... offsets[p] - 1 of all
+        ends = np.searchsorted(self.lats, self.lats + self._half(self.rads), side="right")
+        offsets = np.cumsum(ends - np.arange(1, n + 1))
+        shift = ends - offsets  # a pair's number plus its owner's shift is its other end
+        total = int(offsets[-1]) if n else 0
+        by_id = sorted(range(n), key=ids.__getitem__)
+        rank = np.empty(n, dtype=np.intp)  # position -> place in id order
+        rank[by_id] = np.arange(n)
+        # each hit in both directions, as member position * n + the other's
+        # rank, so that one sort lists every member's candidates in id order
+        keys = [np.zeros(0, dtype=np.intp)]
+        for first in range(0, total, PAIRS_PER_CALL):
+            stop = min(first + PAIRS_PER_CALL, total)
+            # the owner of pair first, plus one at each later member's first pair
+            m0 = int(np.searchsorted(offsets, first, side="right"))
+            m1 = int(np.searchsorted(offsets, stop, side="left"))
+            own = m0 + np.cumsum(np.bincount(offsets[m0:m1] - first, minlength=stop - first))
+            other = np.arange(first, stop) + shift[own]
+            hit = self._hits(own, other)
+            own, other = own[hit], other[hit]
+            keys += own * n + rank[other], other * n + rank[own]
+        keys = np.concatenate(keys)
+        keys.sort()
+        bounds = np.searchsorted(keys, np.arange(1, n + 1) * n).tolist()
+        keys %= n
+        id_of = [ids[p] for p in by_id].__getitem__
+        return {nid: tuple(map(id_of, keys[lo:hi].tolist()))
+                for nid, lo, hi in zip(ids, [0, *bounds], bounds)}
+
+    def _position(self, spec: NodeSpec) -> int:
+        lo = int(np.searchsorted(self.lats, spec.latitude, side="left"))
+        hi = int(np.searchsorted(self.lats, spec.latitude, side="right"))
+        return lo + self.ids[lo:hi].index(spec.node_id)
 
     def _scan(self, spec: NodeSpec) -> tuple[int, ...]:
-        """Ids of the other members whose disks strictly overlap spec's,
-        in increasing order."""
-        half = (spec.radius + self.r_max) / METERS_PER_DEG_LAT * self._BAND_REL + self._BAND_DEG
+        """Ids of the other members whose disks strictly overlap the
+        member spec's, in increasing order, from its whole band."""
+        pos = self._position(spec)
+        half = self._half(spec.radius)
         lo = int(np.searchsorted(self.lats, spec.latitude - half, side="left"))
         hi = int(np.searchsorted(self.lats, spec.latitude + half, side="right"))
-        dists = distances_np(spec.latitude, spec.longitude, self.lats[lo:hi], self.lons[lo:hi])
-        near = np.flatnonzero(dists < spec.radius + self.rads[lo:hi]) + lo
-        ids, own = self.ids, spec.node_id
-        return tuple(sorted(ids[k] for k in near.tolist() if ids[k] != own))
+        band = np.arange(lo, hi)
+        band = band[band != pos]
+        ids = self.ids
+        return tuple(sorted(ids[k] for k in band[self._hits(pos, band)].tolist()))
 
     def add(self, spec: NodeSpec):
         pos = int(np.searchsorted(self.lats, spec.latitude))
@@ -150,9 +211,7 @@ class LatitudeIndex:
         candidates[nid] = found
 
     def remove(self, spec: NodeSpec):
-        lo = int(np.searchsorted(self.lats, spec.latitude, side="left"))
-        hi = int(np.searchsorted(self.lats, spec.latitude, side="right"))
-        pos = lo + self.ids[lo:hi].index(spec.node_id)
+        pos = self._position(spec)
         del self.ids[pos]
         self.lats = np.delete(self.lats, pos)
         self.lons = np.delete(self.lons, pos)
@@ -224,8 +283,8 @@ class Simulation:
         # each one can reach the designated seed regardless of id order
         for spec in scenario.nodes:
             self._create_node(spec, join_round=0)
-        for spec in scenario.nodes:
-            self._bootstrap_node(self.nodes[spec.node_id], now_ms=0, joining=False)
+        for spec, seeds in zip(scenario.nodes, self._round0_seeds()):
+            self._bootstrap_node(self.nodes[spec.node_id], now_ms=0, joining=False, seeds=seeds)
 
     # -- membership ---------------------------------------------------------
 
@@ -239,17 +298,44 @@ class Simulation:
         self.nodes[spec.node_id] = node
         return node
 
-    def _bootstrap_node(self, node: _Node, now_ms: int, joining: bool):
-        """Introduce node to the live designated seeds.  With none alive, a
-        churn joiner (a rejoining seed too) or a round-0 node that is no
-        seed falls back to one random live introducer; a round-0 seed
+    def _round0_seeds(self):
+        """For each round-0 node in scenario order, the designated seeds'
+        items less its own (every seed is a round-0 node), as an
+        ``OverlayBuffer`` that carries their distances from it.  The
+        distances come from kernel calls with array owners, at most
+        ``PAIRS_PER_CALL`` pairs a call, and the kernel's bits do not depend
+        on the call's shape, so each buffer merges as the plain list does."""
+        seeds = [self.nodes[sid].own_item(0) for sid in self.scenario.seeds]
+        seed_pos = {it.node_id: k for k, it in enumerate(seeds)}
+        seed_lats = np.array([it.latitude for it in seeds])
+        seed_lons = np.array([it.longitude for it in seeds])
+        specs = self.scenario.nodes
+        step = max(1, PAIRS_PER_CALL // max(1, len(seeds)))
+        for first in range(0, len(specs), step):
+            chunk = specs[first:first + step]
+            rows = distances_np(np.array([sp.latitude for sp in chunk])[:, None],
+                                np.array([sp.longitude for sp in chunk])[:, None],
+                                seed_lats, seed_lons).tolist()
+            for spec, row in zip(chunk, rows):
+                buf = OverlayBuffer(seeds, row, (spec.latitude, spec.longitude))
+                k = seed_pos.get(spec.node_id)
+                if k is not None:
+                    del buf[k], buf.dists[k]
+                yield buf
+
+    def _bootstrap_node(self, node: _Node, now_ms: int, joining: bool, seeds=None):
+        """Introduce node to the live designated seeds: seeds are their
+        items less node's own, looked up here when not given.  With none
+        alive, a churn joiner (a rejoining seed too) or a round-0 node that
+        is no seed falls back to one random live introducer; a round-0 seed
         without another seed starts alone, and the others find it."""
         own_id = node.spec.node_id
-        seeds = [
-            self.nodes[sid].own_item(now_ms)
-            for sid in self.scenario.seeds
-            if sid != own_id and sid in self.nodes
-        ]
+        if seeds is None:
+            seeds = [
+                self.nodes[sid].own_item(now_ms)
+                for sid in self.scenario.seeds
+                if sid != own_id and sid in self.nodes
+            ]
         if not seeds and len(self.nodes) > 1 and (joining or own_id not in self.scenario.seeds):
             others = sorted(set(self.nodes) - {own_id})
             seeds = [self.nodes[self.rng.choice(others)].own_item(now_ms)]

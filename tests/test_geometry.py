@@ -82,6 +82,17 @@ class TestKernel:
                 assert distances_np(lats[i], lons[i], lats[j], lons[j]) == rows[i, j]
                 assert distances_np(float(lats[i]), float(lons[i]),
                                     lats[j:j + 1], lons[j:j + 1])[0] == rows[i, j]
+        # array owners, as the oracle build (elementwise over pairs) and the
+        # round-0 bootstrap (a column of owners against the seeds) call it
+        own = np.array([rng.randrange(n) for _ in range(5000)])
+        other = np.array([rng.randrange(n) for _ in range(5000)])
+        assert np.array_equal(distances_np(lats[own], lons[own], lats[other], lons[other]),
+                              rows[own, other])
+        assert np.array_equal(distances_np(lats[:, None], lons[:, None], lats, lons), rows)
+        seeds = [7, 3, 100]
+        assert np.array_equal(distances_np(lats[own][:, None], lons[own][:, None],
+                                           lats[seeds], lons[seeds]),
+                              rows[own][:, seeds])
 
     def test_public_helpers_use_the_kernel(self):
         # the oracle decides candidacy on the kernel's bits, with either

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from geogossip import simulate
 from geogossip.geometry import distances_np
-from geogossip.overlay import candidate_list
+from geogossip.overlay import RankedView, candidate_list
+from geogossip.sampling import RandomView, merge_random
 from geogossip.scenario import (
     METERS_PER_DEG_LAT,
     ORIGIN_LAT,
@@ -25,6 +27,8 @@ from geogossip.scenario import (
     generate_scenario,
 )
 from geogossip.simulate import (
+    C_RAND,
+    C_RANK,
     LatitudeIndex,
     MetricsRow,
     MetricsSeries,
@@ -126,6 +130,20 @@ def exhaustive_candidates(specs):
     return truth
 
 
+def batched_build(specs):
+    """The oracle's batched build over specs, as id sets, after checking
+    every member's tuple against the join path's scan of that member and
+    against the exhaustive set."""
+    index = LatitudeIndex(specs)
+    want = exhaustive_candidates(specs)
+    assert index.candidates.keys() == want.keys()
+    for spec in specs:
+        got = index.candidates[spec.node_id]
+        assert got == index._scan(spec)
+        assert set(got) == want[spec.node_id]
+    return oracle_sets(index.candidates)
+
+
 def wrap_lon(lon):
     return (lon + 180.0) % 360.0 - 180.0
 
@@ -176,8 +194,7 @@ class TestLatitudeIndex:
                      rng.uniform(100.0, 600.0))
             for i in range(1, 301)
         ]
-        gt = oracle_sets(LatitudeIndex(specs).candidates)
-        assert gt == exhaustive_candidates(specs)
+        gt = batched_build(specs)
         east = {s.node_id for s in specs if s.longitude > 0.0}
         assert any(nid in east and nbrs - east for nid, nbrs in gt.items())
 
@@ -188,8 +205,7 @@ class TestLatitudeIndex:
         specs = [NodeSpec(s.node_id, s.latitude - ORIGIN_LAT,
                           wrap_lon(s.longitude - ORIGIN_LON + 179.95), s.radius)
                  for s in sc.nodes]
-        gt = oracle_sets(LatitudeIndex(specs).candidates)
-        assert gt == exhaustive_candidates(specs)
+        gt = batched_build(specs)
         east = {s.node_id for s in specs if s.longitude > 0.0}
         assert 0 < len(east) < len(specs)
         assert any(nid in east and nbrs - east for nid, nbrs in gt.items())
@@ -223,7 +239,7 @@ class TestLatitudeIndex:
             specs = [NodeSpec(1, lat0, lon0, small), NodeSpec(2, lat, lon, r)]
             want = exhaustive_candidates(specs)
             assert want[1] == ({2} if r == inside else set())
-            assert oracle_sets(LatitudeIndex(specs).candidates) == want
+            assert batched_build(specs) == want
 
     def test_near_the_pole(self):
         rng = Random(12)
@@ -237,9 +253,42 @@ class TestLatitudeIndex:
                      rng.uniform(100.0, 600.0))
             for i in range(200)
         ]
-        gt = oracle_sets(LatitudeIndex(specs).candidates)
-        assert gt == exhaustive_candidates(specs)
+        gt = batched_build(specs)
         assert sum(map(len, gt.values())) > 0
+
+    def test_batched_build_across_chunk_boundaries(self, monkeypatch):
+        # a cap far below one member's forward window: windows cross chunk
+        # boundaries, and one window alone spans several chunks
+        monkeypatch.setattr(simulate, "PAIRS_PER_CALL", 7)
+        specs = small_scenario(n=200, seed=5).nodes
+        index = LatitudeIndex(specs)
+        ends = np.searchsorted(index.lats, index.lats + index._half(index.rads), side="right")
+        windows = ends - np.arange(1, len(specs) + 1)
+        assert windows.max() > 3 * simulate.PAIRS_PER_CALL
+        assert windows.sum() % simulate.PAIRS_PER_CALL
+        assert sum(map(len, batched_build(specs).values())) > 0
+
+    def test_batched_build_with_tied_latitudes_and_zero_radii(self, monkeypatch):
+        # 60 members on one latitude, a third of them with radius 0 (a
+        # radius-0 pair at one point is no candidate: 0 < 0 fails), and
+        # members just off that latitude on both sides
+        monkeypatch.setattr(simulate, "PAIRS_PER_CALL", 16)
+        rng = Random(13)
+        lat = 59.91
+        specs = [NodeSpec(i, lat, 10.75 + rng.choice([0.0, 0.001, rng.uniform(-0.01, 0.01)]),
+                          0.0 if i % 3 == 0 else rng.uniform(50.0, 600.0))
+                 for i in range(1, 61)]
+        specs += [NodeSpec(100 + i, math.nextafter(lat, 90.0 if i % 2 else -90.0),
+                           10.75 + rng.uniform(-0.01, 0.01), rng.choice([0.0, 300.0]))
+                  for i in range(10)]
+        gt = batched_build(specs)
+        zero = {s.node_id for s in specs if s.radius == 0.0}
+        assert any(gt[k] for k in zero)
+        assert not any(gt[k] & zero for k in zero)
+
+    def test_empty_and_one_member(self):
+        assert batched_build([]) == {}
+        assert batched_build([NodeSpec(7, 59.91, 10.75, 300.0)]) == {7: set()}
 
 
 def golden_scenario():
@@ -414,6 +463,48 @@ class TestCandidateLists:
         assert again[1][0] is fresher and repr(again[1][1]) == repr(utility)
         assert ([(it.node_id, repr(u)) for it, u in again]
                 == [(it.node_id, repr(u)) for it, u in entries])
+
+
+class TestRound0Bootstrap:
+    """The round-0 bootstrap scores every node's seeds in batched kernel
+    calls; each node must end as if it had merged the plain list."""
+
+    @staticmethod
+    def assert_views_merged(sim, introduced):
+        # repr shows every float's bits, and -0.0 apart from 0.0
+        for nid, node in sim.nodes.items():
+            spec = node.spec
+            random_view = RandomView(nid, C_RAND)
+            ranked = RankedView(nid, spec.latitude, spec.longitude, spec.radius, C_RANK)
+            if introduced[nid]:
+                merge_random(random_view, introduced[nid])
+                ranked.merge(introduced[nid], 0, sim.stale_ms)
+            assert repr(node.ranked.entries) == repr(ranked.entries)
+            assert (node.ranked._min_ts, node.ranked._frontier) == (ranked._min_ts, ranked._frontier)
+            assert list(node.random_view.entries.items()) == list(random_view.entries.items())
+
+    def test_two_seeds_each_bootstrapping_from_the_other(self):
+        sc = small_scenario(n=300, seed=4)
+        first, second = sc.nodes[200].node_id, sc.nodes[10].node_id
+        sc = replace(sc, seeds=(first, second))
+        sim = Simulation(sc)
+        seeds = [sim.nodes[sid].own_item(0) for sid in sc.seeds]
+        self.assert_views_merged(
+            sim, {nid: [it for it in seeds if it.node_id != nid] for nid in sim.nodes})
+        assert list(sim.nodes[first].random_view.entries) == [second]
+        assert list(sim.nodes[second].random_view.entries) == [first]
+
+    def test_random_introducers_without_a_seed(self):
+        sc = replace(small_scenario(n=100, seed=6), seeds=())
+        sim = Simulation(sc)
+        rng = Random(sc.rng_seed)
+        ids = sorted(sim.nodes)
+        introduced = {
+            spec.node_id: [sim.nodes[rng.choice([k for k in ids if k != spec.node_id])].own_item(0)]
+            for spec in sc.nodes
+        }
+        self.assert_views_merged(sim, introduced)
+        assert sim.rng.getstate() == rng.getstate()
 
 
 class TestDelegation:
