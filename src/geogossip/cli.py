@@ -68,19 +68,27 @@ def _flag_error(args) -> str | None:
 def _load(args):
     """(scenario, 0), or (None, exit code) once the reason is reported:
     2 when a flag is out of range (checked first, so no simulation runs)
-    or the file's content is invalid, 1 when the file cannot be read."""
+    or the file's content is invalid, alone or for this many rounds, 1
+    when the file cannot be read."""
     path = args.scenario
     if error := _flag_error(args):
         print(f"error: {error}", file=sys.stderr)
         return None, 2
     try:
-        return scn.load_scenario(path), 0
+        s = scn.load_scenario(path)
     except OSError as exc:
         print(f"error: cannot read scenario {path}: {exc}", file=sys.stderr)
         return None, 1
     except scn.ScenarioFormatError as exc:
         print(f"error: invalid scenario {path}: {exc}", file=sys.stderr)
         return None, 2
+    # the last round stamps its items (rounds - 1) * period_ms, and a wire
+    # timestamp holds 64 bits
+    if (args.rounds - 1) * s.params.period_ms >= 1 << 64:
+        print(f"error: invalid scenario {path}: with period_seconds = {s.params.period_seconds:g}, "
+              f"--rounds {args.rounds} stamps timestamps past 64 bits", file=sys.stderr)
+        return None, 2
+    return s, 0
 
 
 def _run_and_report(s, args, out_csv: str) -> int:

@@ -92,9 +92,10 @@ def convergence_round(series: MetricsSeries, threshold: float) -> int | None:
 
 
 # at most this many (owner, other) pairs go to one kernel call in the oracle
-# build and the round-0 bootstrap: an array of every pair would cost
-# megabytes that the allocator keeps after set-up, while at this size each
-# call's temporaries stay near 1-2 MB
+# build and in the bootstrap, batched for round 0 and for each round's
+# joiners: an array of every pair would cost megabytes that the allocator
+# keeps after set-up, while at this size each call's temporaries stay near
+# 1-2 MB
 PAIRS_PER_CALL = 1 << 14
 
 
@@ -185,10 +186,10 @@ class LatitudeIndex:
         hi = int(np.searchsorted(self.lats, spec.latitude, side="right"))
         return lo + self.ids[lo:hi].index(spec.node_id)
 
-    def _scan(self, spec: NodeSpec) -> tuple[int, ...]:
+    def _scan(self, spec: NodeSpec, pos: int) -> tuple[int, ...]:
         """Ids of the other members whose disks strictly overlap the
-        member spec's, in increasing order, from its whole band."""
-        pos = self._position(spec)
+        member spec's, at position pos, in increasing order, from its
+        whole band."""
         half = self._half(spec.radius)
         lo = int(np.searchsorted(self.lats, spec.latitude - half, side="left"))
         hi = int(np.searchsorted(self.lats, spec.latitude + half, side="right"))
@@ -204,7 +205,7 @@ class LatitudeIndex:
         self.lons = np.insert(self.lons, pos, spec.longitude)
         self.rads = np.insert(self.rads, pos, spec.radius)
         self.r_max = max(self.r_max, spec.radius)
-        found = self._scan(spec)
+        found = self._scan(spec, pos)
         candidates, nid = self.candidates, spec.node_id
         for other in found:
             candidates[other] = tuple(sorted((*candidates[other], nid)))
@@ -283,8 +284,7 @@ class Simulation:
         # each one can reach the designated seed regardless of id order
         for spec in scenario.nodes:
             self._create_node(spec, join_round=0)
-        for spec, seeds in zip(scenario.nodes, self._round0_seeds()):
-            self._bootstrap_node(self.nodes[spec.node_id], now_ms=0, joining=False, seeds=seeds)
+        self._bootstrap(list(self.nodes.values()), now_ms=0, joining=False)
 
     # -- membership ---------------------------------------------------------
 
@@ -298,50 +298,43 @@ class Simulation:
         self.nodes[spec.node_id] = node
         return node
 
-    def _round0_seeds(self):
-        """For each round-0 node in scenario order, the designated seeds'
-        items less its own (every seed is a round-0 node), as an
-        ``OverlayBuffer`` that carries their distances from it.  The
-        distances come from kernel calls with array owners, at most
-        ``PAIRS_PER_CALL`` pairs a call, and the kernel's bits do not depend
-        on the call's shape, so each buffer merges as the plain list does."""
-        seeds = [self.nodes[sid].own_item(0) for sid in self.scenario.seeds]
+    def _bootstrap(self, nodes: list[_Node], now_ms: int, joining: bool):
+        """Introduce each of nodes, in order, to the live designated seeds.
+
+        Each node gets their items less its own, as an ``OverlayBuffer``
+        that carries their distances from it.  The distances come from
+        kernel calls with array owners, at most ``PAIRS_PER_CALL`` pairs a
+        call, and the kernel's bits do not depend on the call's shape, so
+        each buffer merges as the plain list does.  A node left without a
+        seed falls back to one random live introducer, drawn in node
+        order, when it is a churn joiner (a rejoining seed too) or a
+        round-0 node that is no seed; a round-0 seed without another seed
+        starts alone, and the others find it.  Introductions touch only
+        the introduced node's views, so a batch ends as one node at a
+        time would."""
+        live, designated = self.nodes, self.scenario.seeds
+        seeds = [live[sid].own_item(now_ms) for sid in designated if sid in live]
         seed_pos = {it.node_id: k for k, it in enumerate(seeds)}
         seed_lats = np.array([it.latitude for it in seeds])
         seed_lons = np.array([it.longitude for it in seeds])
-        specs = self.scenario.nodes
         step = max(1, PAIRS_PER_CALL // max(1, len(seeds)))
-        for first in range(0, len(specs), step):
-            chunk = specs[first:first + step]
-            rows = distances_np(np.array([sp.latitude for sp in chunk])[:, None],
-                                np.array([sp.longitude for sp in chunk])[:, None],
+        for first in range(0, len(nodes), step):
+            chunk = nodes[first:first + step]
+            rows = distances_np(np.array([nd.spec.latitude for nd in chunk])[:, None],
+                                np.array([nd.spec.longitude for nd in chunk])[:, None],
                                 seed_lats, seed_lons).tolist()
-            for spec, row in zip(chunk, rows):
+            for node, row in zip(chunk, rows):
+                spec = node.spec
                 buf = OverlayBuffer(seeds, row, (spec.latitude, spec.longitude))
                 k = seed_pos.get(spec.node_id)
                 if k is not None:
                     del buf[k], buf.dists[k]
-                yield buf
-
-    def _bootstrap_node(self, node: _Node, now_ms: int, joining: bool, seeds=None):
-        """Introduce node to the live designated seeds: seeds are their
-        items less node's own, looked up here when not given.  With none
-        alive, a churn joiner (a rejoining seed too) or a round-0 node that
-        is no seed falls back to one random live introducer; a round-0 seed
-        without another seed starts alone, and the others find it."""
-        own_id = node.spec.node_id
-        if seeds is None:
-            seeds = [
-                self.nodes[sid].own_item(now_ms)
-                for sid in self.scenario.seeds
-                if sid != own_id and sid in self.nodes
-            ]
-        if not seeds and len(self.nodes) > 1 and (joining or own_id not in self.scenario.seeds):
-            others = sorted(set(self.nodes) - {own_id})
-            seeds = [self.nodes[self.rng.choice(others)].own_item(now_ms)]
-        if seeds:
-            merge_random(node.random_view, seeds)
-            node.ranked.merge(seeds, now_ms, self.stale_ms)
+                if not buf and len(live) > 1 and (joining or spec.node_id not in designated):
+                    others = sorted(set(live) - {spec.node_id})
+                    buf = [live[self.rng.choice(others)].own_item(now_ms)]
+                if buf:
+                    merge_random(node.random_view, buf)
+                    node.ranked.merge(buf, now_ms, self.stale_ms)
 
     def apply_churn(self, events: list[ChurnEvent], now_ms: int):
         joined: list[_Node] = []
@@ -353,11 +346,10 @@ class Simulation:
                 if ev.node_id not in self.nodes:
                     raise UnknownNodeError(ev.node_id)
                 self.oracle.remove(self.nodes.pop(ev.node_id).spec)
-        for node in joined:
-            # not one that a later event of the round took out again; by
-            # identity, as the same id may have joined once more since
-            if self.nodes.get(node.spec.node_id) is node:
-                self._bootstrap_node(node, now_ms, joining=True)
+        # not one that a later event of the round took out again; by
+        # identity, as the same id may have joined once more since
+        self._bootstrap([node for node in joined if self.nodes.get(node.spec.node_id) is node],
+                        now_ms, joining=True)
 
     def _forget(self, node: _Node, dead_id: int):
         node.random_view.drop(dead_id)

@@ -118,6 +118,8 @@ class TestRun:
 
 
 _ONE_NODE = "[nodes]\n1 0.0 0.0 5.0\n\n[seeds]\n1\n\n"
+# valid alone, but round 19 stamps 1.9e19 ms, past a 64-bit timestamp
+_LONG_PERIOD = "period_seconds = 1e15\n" + _ONE_NODE
 
 
 @pytest.mark.parametrize("command", [
@@ -133,15 +135,27 @@ _ONE_NODE = "[nodes]\n1 0.0 0.0 5.0\n\n[seeds]\n1\n\n"
     "c_far = 3\npartner_strategy = oldest\nc_rand = 30\nsample_half = 15\nc_rank = 20\n"
     "p_far = 0.1\nrecent_rounds = 5\nstale_rounds = 10\n" + _ONE_NODE,
     _ONE_NODE + "1\n",
+    _LONG_PERIOD,
 ], ids=["non-numeric", "removed-key-c-rand", "latitude-95", "churn-negative-round",
         "leave-of-non-member", "join-of-live-id", "double-leave", "churn-extra-field",
-        "removed-param-keys", "repeated-seed"])
+        "removed-param-keys", "repeated-seed", "period-past-64-bit-timestamps"])
 def test_invalid_scenario_exits_2(command, text, tmp_path, capsys):
     path = tmp_path / "bad.scn"
     path.write_text(text)
-    rc = main([command[0], str(path), "--out", str(tmp_path / "out.csv")] + command[1:])
+    rounds = ["--rounds", "20"] if text == _LONG_PERIOD else []  # the last --rounds counts
+    rc = main([command[0], str(path), "--out", str(tmp_path / "out.csv")] + command[1:] + rounds)
     assert rc == 2
-    assert "invalid scenario" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "invalid scenario" in err
+    if rounds:
+        assert "--rounds 20" in err and "period_seconds = 1e+15" in err
+
+
+@pytest.mark.parametrize("command", ["run", "churn-run", "assign"])
+def test_long_period_runs_while_timestamps_fit(command, tmp_path):
+    path = tmp_path / "long.scn"
+    path.write_text(_LONG_PERIOD)
+    assert main([command, str(path), "--out", str(tmp_path / "out.csv"), "--rounds", "19"]) == 0
 
 
 @pytest.mark.parametrize("args", [

@@ -137,10 +137,11 @@ def batched_build(specs):
     index = LatitudeIndex(specs)
     want = exhaustive_candidates(specs)
     assert index.candidates.keys() == want.keys()
-    for spec in specs:
-        got = index.candidates[spec.node_id]
-        assert got == index._scan(spec)
-        assert set(got) == want[spec.node_id]
+    by_id = {spec.node_id: spec for spec in specs}
+    for pos, nid in enumerate(index.ids):
+        got = index.candidates[nid]
+        assert got == index._scan(by_id[nid], pos)
+        assert set(got) == want[nid]
     return oracle_sets(index.candidates)
 
 
@@ -465,23 +466,47 @@ class TestCandidateLists:
                 == [(it.node_id, repr(u)) for it, u in entries])
 
 
-class TestRound0Bootstrap:
-    """The round-0 bootstrap scores every node's seeds in batched kernel
-    calls; each node must end as if it had merged the plain list."""
+class TestBootstrap:
+    """Round-0 nodes and each round's churn joiners are introduced by one
+    path that scores whole batches against the seeds in kernel calls with
+    array owners; each node must end as if it had merged the plain list."""
 
     @staticmethod
-    def assert_views_merged(sim, introduced):
+    def assert_views_merged(sim, introduced, now_ms=0):
         # repr shows every float's bits, and -0.0 apart from 0.0
-        for nid, node in sim.nodes.items():
+        for nid, items in introduced.items():
+            node = sim.nodes[nid]
             spec = node.spec
             random_view = RandomView(nid, C_RAND)
             ranked = RankedView(nid, spec.latitude, spec.longitude, spec.radius, C_RANK)
-            if introduced[nid]:
-                merge_random(random_view, introduced[nid])
-                ranked.merge(introduced[nid], 0, sim.stale_ms)
+            if items:
+                merge_random(random_view, items)
+                ranked.merge(items, now_ms, sim.stale_ms)
             assert repr(node.ranked.entries) == repr(ranked.entries)
             assert (node.ranked._min_ts, node.ranked._frontier) == (ranked._min_ts, ranked._frontier)
             assert list(node.random_view.entries.items()) == list(random_view.entries.items())
+
+    @staticmethod
+    def churn_events(sc, seed, fresh):
+        """Several joiners at fresh ids, one of them in at a second place
+        after a leave; the seed out and back in at a new place; and a
+        joiner that leaves in its own round.  (events, surviving joiners'
+        ids in join order)."""
+        spot = sc.nodes[0]
+        specs = [NodeSpec(fresh + k, spot.latitude + 0.001 * k, spot.longitude, 300.0 + k)
+                 for k in range(6)]
+        events = [ChurnEvent(0, "join", node=sp) for sp in specs[:4]]
+        events += [
+            ChurnEvent(0, "leave", node_id=fresh + 1),
+            ChurnEvent(0, "join", node=replace(specs[4], node_id=fresh + 1)),
+            ChurnEvent(0, "join", node=specs[5]),
+            ChurnEvent(0, "leave", node_id=fresh + 5),
+        ]
+        if seed is not None:
+            back = replace(sc.nodes[1], node_id=seed)
+            events[2:2] = [ChurnEvent(0, "leave", node_id=seed), ChurnEvent(0, "join", node=back)]
+        joined = [fresh, *([seed] if seed is not None else []), fresh + 2, fresh + 3, fresh + 1]
+        return events, joined
 
     def test_two_seeds_each_bootstrapping_from_the_other(self):
         sc = small_scenario(n=300, seed=4)
@@ -505,6 +530,74 @@ class TestRound0Bootstrap:
         }
         self.assert_views_merged(sim, introduced)
         assert sim.rng.getstate() == rng.getstate()
+
+    def test_churn_joiners_with_a_rejoining_seed(self):
+        sc = small_scenario(n=200, seed=8)
+        first, second = sc.nodes[50].node_id, sc.nodes[120].node_id
+        sc = replace(sc, seeds=(first, second))
+        sim = Simulation(sc)
+        sim.run(3)
+        now_ms = sim.round * sim.params.period_ms
+        events, joined = self.churn_events(sc, first, fresh=10_000)
+        state = sim.rng.getstate()
+        sim.apply_churn(events, now_ms)
+        assert set(joined) < set(sim.nodes) and 10_005 not in sim.nodes
+        seeds = [sim.nodes[sid].own_item(now_ms) for sid in sc.seeds]
+        self.assert_views_merged(
+            sim, {nid: [it for it in seeds if it.node_id != nid] for nid in joined}, now_ms)
+        assert [it.node_id for it in sim.nodes[first].random_view.entries.values()] == [second]
+        assert sim.rng.getstate() == state
+
+    def test_churn_joiners_without_a_live_seed(self):
+        sc = small_scenario(n=200, seed=9)
+        sim = Simulation(sc)
+        sim.run(3)
+        now_ms = sim.round * sim.params.period_ms
+        events, joined = self.churn_events(sc, None, fresh=10_000)
+        events.insert(0, ChurnEvent(0, "leave", node_id=sc.seeds[0]))
+        rng = Random()
+        rng.setstate(sim.rng.getstate())
+        sim.apply_churn(events, now_ms)
+        ids = sorted(sim.nodes)
+        introduced = {
+            nid: [sim.nodes[rng.choice([k for k in ids if k != nid])].own_item(now_ms)]
+            for nid in joined
+        }
+        self.assert_views_merged(sim, introduced, now_ms)
+        assert sim.rng.getstate() == rng.getstate()
+
+    @pytest.mark.parametrize("cap, step", [(7, 2), (2, 1)])
+    def test_batches_over_several_kernel_calls(self, monkeypatch, cap, step):
+        # three seeds: a cap of 7 pairs scores 2 nodes a call, and a cap
+        # below the seed count still scores one node a call
+        monkeypatch.setattr(simulate, "PAIRS_PER_CALL", cap)
+        owners = []
+
+        def counted(lat1, lon1, lat2, lon2):
+            if np.ndim(lat1) == 2:  # the bootstrap's calls; the oracle's owners are 1-D
+                owners.append(len(lat1))
+            return distances_np(lat1, lon1, lat2, lon2)
+
+        def calls(n):
+            return [step] * (n // step) + [n % step] * (n % step > 0)
+
+        monkeypatch.setattr(simulate, "distances_np", counted)
+        sc = small_scenario(n=41, seed=3)
+        sc = replace(sc, seeds=tuple(sc.nodes[k].node_id for k in (3, 17, 30)))
+        sim = Simulation(sc)
+        assert owners == calls(41)
+        seeds = [sim.nodes[sid].own_item(0) for sid in sc.seeds]
+        self.assert_views_merged(
+            sim, {nid: [it for it in seeds if it.node_id != nid] for nid in sim.nodes})
+        sim.run(2)
+        now_ms = sim.round * sim.params.period_ms
+        events, joined = self.churn_events(sc, sc.seeds[1], fresh=10_000)
+        del owners[:]
+        sim.apply_churn(events, now_ms)
+        assert owners == calls(len(joined))
+        seeds = [sim.nodes[sid].own_item(now_ms) for sid in sc.seeds]
+        self.assert_views_merged(
+            sim, {nid: [it for it in seeds if it.node_id != nid] for nid in joined}, now_ms)
 
 
 class TestDelegation:
