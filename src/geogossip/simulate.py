@@ -8,6 +8,7 @@ a single seeded generator, so a scenario replays bit-identically.
 """
 
 import csv
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
@@ -15,7 +16,7 @@ from random import Random
 
 import numpy as np
 
-from .geometry import METERS_PER_DEG_LAT, distances_np
+from .geometry import EARTH_RADIUS_M, METERS_PER_DEG_LAT, distances_np
 from .overlay import OverlayBuffer, RankedView, buffer_for, candidate_list, select_target
 from .sampling import (
     EmptyViewError,
@@ -105,14 +106,20 @@ class LatitudeIndex:
     Nodes are kept sorted by latitude.  Great-circle distance is never
     less than the meridian arc between two latitudes, so every candidate
     of node i lies in the band |lat - lat_i| <= r_i + r_max, where r_max
-    bounds every member's radius: scanning that band with the one distance
-    kernel gives i's exact candidate set anywhere on the sphere, across
-    the antimeridian and at the poles alike.  ``candidates`` maps each
-    member to its candidates' ids as a sorted tuple.
+    bounds every member's radius.  In the band, a second axis: the
+    haversine term cos(lat_i) cos(lat) sin^2(dlon / 2) alone reaches
+    sin^2(D / 2R), D = r_i + r_max, once the longitude gap, taken modulo
+    360 degrees, passes i's window (``_window``, from the cosine at the
+    band's pole-ward edge).  The one pair test, ``_hits``, sends the
+    kernel only the pairs within the owner's window, and the kernel
+    decides them, so scanning the band gives i's exact candidate set
+    anywhere on the sphere, across the antimeridian and at the poles
+    alike.  ``candidates`` maps each member to its candidates' ids as a
+    sorted tuple.
 
     The build is a one-dimensional sweep: each pair is tested once, by its
     member earlier in latitude order, over the part of that member's band
-    ahead of it, and the pairs go to the kernel in chunks of at most
+    ahead of it, and the pairs go to the pair test in chunks of at most
     ``PAIRS_PER_CALL``.  The kernel gives either end of a pair the same
     distance and the radius sum commutes, so a hit counts for both
     members.  A join scans the joiner's whole band with the same band and
@@ -122,9 +129,9 @@ class LatitudeIndex:
     nodes; ``Simulation.oracle`` follows the live membership.
     """
 
-    # margins (relative, and degrees) that widen the band far beyond the
-    # rounding in the kernel and in the latitudes, so that rounding can
-    # never place a candidate just outside it
+    # margins (relative, and degrees) that widen the band and the window
+    # far beyond the rounding in the kernel and in the coordinates, so
+    # that rounding can never place a candidate just outside them
     _BAND_REL = 1.0 + 1e-6
     _BAND_DEG = 1e-9
 
@@ -142,12 +149,32 @@ class LatitudeIndex:
         candidate of a member of this radius (a scalar or an array)."""
         return (radius + self.r_max) / METERS_PER_DEG_LAT * self._BAND_REL + self._BAND_DEG
 
-    def _hits(self, own, other):
-        """Whether the disks at positions own and other strictly overlap;
-        own is one position or an array of them, other an array."""
+    def _window(self, lat, radius):
+        """Longitude half-width, in degrees, of the part of the band of a
+        member at lat with this radius (scalars or arrays) that can hold
+        its candidates, from the cosine at the band's pole-ward edge; 360
+        where that sine bound is 0.5 or more, as asin grows too steep there
+        for the margins."""
+        edge = np.minimum(90.0, np.abs(lat) + self._half(radius))
+        reach = np.sin(np.minimum((radius + self.r_max) / (2.0 * EARTH_RADIUS_M), np.pi / 2))
+        # both cosines are positive, as radians(90) rounds below pi / 2; a
+        # cosine of 0 or less would give an infinite or NaN ratio, so 360
+        ratio = np.minimum(reach / np.sqrt(np.cos(np.radians(lat)) * np.cos(np.radians(edge))), 0.5)
+        window = 2.0 * np.degrees(np.arcsin(ratio)) * self._BAND_REL + self._BAND_DEG
+        return np.where(ratio < 0.5, window, 360.0)
+
+    def _hits(self, own, other, window):
+        """Indices into other of the members whose disks strictly overlap
+        own's: own is one position or an array of them, other an array,
+        and window own's ``_window``.  Only the pairs whose longitude gap,
+        modulo 360 degrees, is within the window go to the kernel."""
         lats, lons, rads = self.lats, self.lons, self.rads
+        own = np.broadcast_to(own, other.shape)
+        gap = np.abs(lons[other] - lons[own])
+        near = np.flatnonzero(np.minimum(gap, 360.0 - gap) <= window)
+        own, other = own[near], other[near]
         dists = distances_np(lats[own], lons[own], lats[other], lons[other])
-        return dists < rads[own] + rads[other]
+        return near[dists < rads[own] + rads[other]]
 
     def _build(self) -> dict[int, tuple[int, ...]]:
         ids, n = self.ids, len(self.ids)
@@ -162,6 +189,7 @@ class LatitudeIndex:
         rank[by_id] = np.arange(n)
         # each hit in both directions, as member position * n + the other's
         # rank, so that one sort lists every member's candidates in id order
+        windows = self._window(self.lats, self.rads)
         keys = [np.zeros(0, dtype=np.intp)]
         for first in range(0, total, PAIRS_PER_CALL):
             stop = min(first + PAIRS_PER_CALL, total)
@@ -170,16 +198,17 @@ class LatitudeIndex:
             m1 = int(np.searchsorted(offsets, stop, side="left"))
             own = m0 + np.cumsum(np.bincount(offsets[m0:m1] - first, minlength=stop - first))
             other = np.arange(first, stop) + shift[own]
-            hit = self._hits(own, other)
+            hit = self._hits(own, other, windows[own])
             own, other = own[hit], other[hit]
             keys += own * n + rank[other], other * n + rank[own]
         keys = np.concatenate(keys)
         keys.sort()
         bounds = np.searchsorted(keys, np.arange(1, n + 1) * n).tolist()
         keys %= n
-        id_of = [ids[p] for p in by_id].__getitem__
-        return {nid: tuple(map(id_of, keys[lo:hi].tolist()))
-                for nid, lo, hi in zip(ids, [0, *bounds], bounds)}
+        # the members' own id objects, gathered once, so no id is copied
+        by_rank = np.array([ids[p] for p in by_id], dtype=object)
+        found = tuple(by_rank[keys].tolist())
+        return {nid: found[lo:hi] for nid, lo, hi in zip(ids, [0, *bounds], bounds)}
 
     def _position(self, spec: NodeSpec) -> int:
         lo = int(np.searchsorted(self.lats, spec.latitude, side="left"))
@@ -196,7 +225,8 @@ class LatitudeIndex:
         band = np.arange(lo, hi)
         band = band[band != pos]
         ids = self.ids
-        return tuple(sorted(ids[k] for k in band[self._hits(pos, band)].tolist()))
+        hits = band[self._hits(pos, band, self._window(spec.latitude, spec.radius))]
+        return tuple(sorted(ids[k] for k in hits.tolist()))
 
     def add(self, spec: NodeSpec):
         pos = int(np.searchsorted(self.lats, spec.latitude))
@@ -307,12 +337,14 @@ class Simulation:
         call, and the kernel's bits do not depend on the call's shape, so
         each buffer merges as the plain list does.  A node left without a
         seed falls back to one random live introducer, drawn in node
-        order, when it is a churn joiner (a rejoining seed too) or a
-        round-0 node that is no seed; a round-0 seed without another seed
-        starts alone, and the others find it.  Introductions touch only
+        order from the live ids sorted once a call, when it is a churn
+        joiner (a rejoining seed too) or a round-0 node that is no seed; a
+        round-0 seed without another seed starts alone, and the others
+        find it.  Introductions touch only
         the introduced node's views, so a batch ends as one node at a
         time would."""
         live, designated = self.nodes, self.scenario.seeds
+        ids = sorted(live)
         seeds = [live[sid].own_item(now_ms) for sid in designated if sid in live]
         seed_pos = {it.node_id: k for k, it in enumerate(seeds)}
         seed_lats = np.array([it.latitude for it in seeds])
@@ -330,8 +362,10 @@ class Simulation:
                 if k is not None:
                     del buf[k], buf.dists[k]
                 if not buf and len(live) > 1 and (joining or spec.node_id not in designated):
-                    others = sorted(set(live) - {spec.node_id})
-                    buf = [live[self.rng.choice(others)].own_item(now_ms)]
+                    # one draw over the live ids less its own, as choice draws
+                    k = self.rng.randrange(len(ids) - 1)
+                    k += k >= bisect_left(ids, spec.node_id)
+                    buf = [live[ids[k]].own_item(now_ms)]
                 if buf:
                     merge_random(node.random_view, buf)
                     node.ranked.merge(buf, now_ms, self.stale_ms)

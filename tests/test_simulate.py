@@ -7,11 +7,11 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from geogossip import simulate
-from geogossip.geometry import distances_np
+from geogossip.geometry import EARTH_RADIUS_M, distances_np
 from geogossip.overlay import RankedView, candidate_list
 from geogossip.sampling import RandomView, merge_random
 from geogossip.scenario import (
@@ -256,6 +256,77 @@ class TestLatitudeIndex:
         ]
         gt = batched_build(specs)
         assert sum(map(len, gt.values())) > 0
+
+    @pytest.mark.parametrize("pole", [90.0, -90.0])
+    def test_near_a_pole_and_the_antimeridian_at_once(self, pole):
+        # members up to 600 m either side of the antimeridian's half-plane
+        # and up to 5 km from the pole: those within one radius of the pole
+        # take any longitude and a window of 360 degrees, the ring further
+        # out a narrower one, and pairs cross the antimeridian
+        rng = Random(14)
+        specs = []
+        for i in range(1, 401):
+            x, y = rng.uniform(-600.0, 600.0), rng.uniform(0.0, 5000.0)
+            lat = pole - math.copysign(math.hypot(x, y) / METERS_PER_DEG_LAT, pole)
+            specs.append(NodeSpec(i, lat, wrap_lon(180.0 + math.degrees(math.atan2(x, y))),
+                                  rng.choice([0.0, rng.uniform(100.0, 600.0)])))
+        index = LatitudeIndex(specs)
+        windows = index._window(index.lats, index.rads)
+        assert (windows == 360.0).any() and (windows < 10.0).any()
+        gt = batched_build(specs)
+        east = {s.node_id for s in specs if s.longitude > 0.0}
+        assert any(nid in east and nbrs - east for nid, nbrs in gt.items())
+
+    @settings(max_examples=500, deadline=None)
+    @given(lat0=st.one_of(st.floats(-89.9999, 89.9999),
+                          st.sampled_from([-89.9999, -89.99, 0.0, 59.91, 89.9, 89.99, 89.9999])),
+           lon0=_LONS, r0=st.floats(0.0, 600.0), r1=st.floats(0.0, 600.0),
+           share=st.floats(-1.0, 1.0), west=st.booleans(), to_window=st.booleans(),
+           ulps=st.integers(-4, 4))
+    # a candidate pole-ward of its owner, past a window taken from the
+    # owner's own cosine
+    @example(89.9, 0.0, 600.0, 600.0, 0.05, False, False, -2)
+    def test_pairs_at_the_edge_of_the_longitude_window(self, lat0, lon0, r0, r1, share, west,
+                                                        to_window, ulps):
+        """A pair in the owner's band, its longitude gap a few ulps either
+        side of the owner's window or of the gap where the kernel's
+        distance reaches the radius sum: the build and the join scan must
+        decide it as the exhaustive scan does."""
+        lat1 = min(89.9999, max(-89.9999, lat0 + share * (r0 + r1) / METERS_PER_DEG_LAT))
+        if to_window:
+            index = LatitudeIndex([NodeSpec(1, lat0, lon0, r0), NodeSpec(2, lat1, lon0, r1)])
+            gap = float(index._window(lat0, r0))
+        else:
+            reach = math.sin((r0 + r1) / (2.0 * EARTH_RADIUS_M))
+            arc = math.sin(abs(math.radians(lat1) - math.radians(lat0)) / 2.0)
+            cosines = math.cos(math.radians(lat0)) * math.cos(math.radians(lat1))
+            sin_half = math.sqrt(min(1.0, max(0.0, reach * reach - arc * arc) / cosines))
+            gap = 2.0 * math.degrees(math.asin(sin_half))
+        assume(gap < 180.0)
+        lon1 = wrap_lon(lon0 - gap if west else lon0 + gap)
+        for _ in range(abs(ulps)):
+            lon1 = math.nextafter(lon1, math.copysign(math.inf, ulps))
+        assume(-180.0 <= lon1 < 180.0)
+        specs = [NodeSpec(1, lat0, lon0, r0), NodeSpec(2, lat1, lon1, r1)]
+        assert batched_build(specs) == exhaustive_candidates(specs)
+
+    def test_the_window_keeps_most_band_pairs_from_the_kernel(self, monkeypatch):
+        # a window that passed every pair would still be exact, so count
+        # the pairs that reach the kernel against the band's pairs
+        pairs = []
+
+        def counted(lat1, lon1, lat2, lon2):
+            pairs.append(np.size(lat2))
+            return distances_np(lat1, lon1, lat2, lon2)
+
+        monkeypatch.setattr(simulate, "distances_np", counted)
+        specs = generate_scenario(1000, region=(10_000.0, 10_000.0), radius_law=(100.0, 600.0),
+                                  rng_seed=1).nodes
+        index = LatitudeIndex(specs)
+        ends = np.searchsorted(index.lats, index.lats + index._half(index.rads), side="right")
+        band = int((ends - np.arange(1, len(specs) + 1)).sum())
+        assert 0 < sum(pairs) < 0.3 * band
+        assert oracle_sets(index.candidates) == exhaustive_candidates(specs)
 
     def test_batched_build_across_chunk_boundaries(self, monkeypatch):
         # a cap far below one member's forward window: windows cross chunk
@@ -527,6 +598,21 @@ class TestBootstrap:
         introduced = {
             spec.node_id: [sim.nodes[rng.choice([k for k in ids if k != spec.node_id])].own_item(0)]
             for spec in sc.nodes
+        }
+        self.assert_views_merged(sim, introduced)
+        assert sim.rng.getstate() == rng.getstate()
+
+    def test_random_introducers_match_a_sort_per_node(self):
+        # sparse, shuffled ids put each node's own id anywhere among the
+        # sorted live ids; the reference sorts the others again per node
+        sc = small_scenario(n=300, seed=10)
+        fresh = Random(10).sample(range(1, 10**6), len(sc.nodes))
+        sc = replace(sc, nodes=[replace(s, node_id=k) for s, k in zip(sc.nodes, fresh)], seeds=())
+        sim = Simulation(sc)
+        rng = Random(sc.rng_seed)
+        introduced = {
+            nid: [sim.nodes[rng.choice(sorted(set(sim.nodes) - {nid}))].own_item(0)]
+            for nid in fresh
         }
         self.assert_views_merged(sim, introduced)
         assert sim.rng.getstate() == rng.getstate()
