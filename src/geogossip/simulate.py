@@ -101,12 +101,12 @@ PAIRS_PER_CALL = 1 << 14
 
 
 class LatitudeIndex:
-    """The exhaustive candidate oracle over a changing membership.
+    """The exhaustive candidate oracle over a set of nodes.
 
     Nodes are kept sorted by latitude.  Great-circle distance is never
     less than the meridian arc between two latitudes, so every candidate
     of node i lies in the band |lat - lat_i| <= r_i + r_max, where r_max
-    bounds every member's radius.  In the band, a second axis: the
+    is the largest member radius.  In the band, a second axis: the
     haversine term cos(lat_i) cos(lat) sin^2(dlon / 2) alone reaches
     sin^2(D / 2R), D = r_i + r_max, once the longitude gap, taken modulo
     360 degrees, passes i's window (``_window``, from the cosine at the
@@ -122,11 +122,10 @@ class LatitudeIndex:
     ahead of it, and the pairs go to the pair test in chunks of at most
     ``PAIRS_PER_CALL``.  The kernel gives either end of a pair the same
     distance and the radius sum commutes, so a hit counts for both
-    members.  A join scans the joiner's whole band with the same band and
-    pair test; a join or a leave rebuilds the tuples of the members it
-    touches, nothing else, and memory stays linear in the membership.
-    ``LatitudeIndex(specs).candidates`` is the oracle for a fixed set of
-    nodes; ``Simulation.oracle`` follows the live membership.
+    members, and memory stays linear in the membership.  An index is
+    never edited: ``LatitudeIndex(specs).candidates`` is the oracle for a
+    fixed set of nodes, and ``Simulation.oracle`` follows the live
+    membership by a new index in each round that has churn events.
     """
 
     # margins (relative, and degrees) that widen the band and the window
@@ -141,7 +140,7 @@ class LatitudeIndex:
         self.lats = np.array([s.latitude for s in specs], dtype=np.float64)
         self.lons = np.array([s.longitude for s in specs], dtype=np.float64)
         self.rads = np.array([s.radius for s in specs], dtype=np.float64)
-        self.r_max = float(self.rads.max()) if specs else 0.0  # never lowered
+        self.r_max = float(self.rads.max()) if specs else 0.0
         self.candidates: dict[int, tuple[int, ...]] = self._build()
 
     def _half(self, radius):
@@ -165,11 +164,11 @@ class LatitudeIndex:
 
     def _hits(self, own, other, window):
         """Indices into other of the members whose disks strictly overlap
-        own's: own is one position or an array of them, other an array,
-        and window own's ``_window``.  Only the pairs whose longitude gap,
-        modulo 360 degrees, is within the window go to the kernel."""
+        own's, pair by pair: own and other are arrays of positions of one
+        shape, and window own's ``_window``.  Only the pairs whose
+        longitude gap, modulo 360 degrees, is within the window go to the
+        kernel."""
         lats, lons, rads = self.lats, self.lons, self.rads
-        own = np.broadcast_to(own, other.shape)
         gap = np.abs(lons[other] - lons[own])
         near = np.flatnonzero(np.minimum(gap, 360.0 - gap) <= window)
         own, other = own[near], other[near]
@@ -179,9 +178,10 @@ class LatitudeIndex:
     def _build(self) -> dict[int, tuple[int, ...]]:
         ids, n = self.ids, len(self.ids)
         # member p tests positions p + 1 ... ends[p] - 1; its pairs are
-        # numbers offsets[p] - (ends[p] - p - 1) ... offsets[p] - 1 of all
+        # numbers starts[p] ... offsets[p] - 1 of all
         ends = np.searchsorted(self.lats, self.lats + self._half(self.rads), side="right")
         offsets = np.cumsum(ends - np.arange(1, n + 1))
+        starts = np.concatenate(([0], offsets))
         shift = ends - offsets  # a pair's number plus its owner's shift is its other end
         total = int(offsets[-1]) if n else 0
         by_id = sorted(range(n), key=ids.__getitem__)
@@ -193,10 +193,10 @@ class LatitudeIndex:
         keys = [np.zeros(0, dtype=np.intp)]
         for first in range(0, total, PAIRS_PER_CALL):
             stop = min(first + PAIRS_PER_CALL, total)
-            # the owner of pair first, plus one at each later member's first pair
+            # members m0 ... m1 own the chunk, each its pairs within it
             m0 = int(np.searchsorted(offsets, first, side="right"))
             m1 = int(np.searchsorted(offsets, stop, side="left"))
-            own = m0 + np.cumsum(np.bincount(offsets[m0:m1] - first, minlength=stop - first))
+            own = np.repeat(np.arange(m0, m1 + 1), np.diff(np.clip(starts[m0:m1 + 2], first, stop)))
             other = np.arange(first, stop) + shift[own]
             hit = self._hits(own, other, windows[own])
             own, other = own[hit], other[hit]
@@ -209,47 +209,6 @@ class LatitudeIndex:
         by_rank = np.array([ids[p] for p in by_id], dtype=object)
         found = tuple(by_rank[keys].tolist())
         return {nid: found[lo:hi] for nid, lo, hi in zip(ids, [0, *bounds], bounds)}
-
-    def _position(self, spec: NodeSpec) -> int:
-        lo = int(np.searchsorted(self.lats, spec.latitude, side="left"))
-        hi = int(np.searchsorted(self.lats, spec.latitude, side="right"))
-        return lo + self.ids[lo:hi].index(spec.node_id)
-
-    def _scan(self, spec: NodeSpec, pos: int) -> tuple[int, ...]:
-        """Ids of the other members whose disks strictly overlap the
-        member spec's, at position pos, in increasing order, from its
-        whole band."""
-        half = self._half(spec.radius)
-        lo = int(np.searchsorted(self.lats, spec.latitude - half, side="left"))
-        hi = int(np.searchsorted(self.lats, spec.latitude + half, side="right"))
-        band = np.arange(lo, hi)
-        band = band[band != pos]
-        ids = self.ids
-        hits = band[self._hits(pos, band, self._window(spec.latitude, spec.radius))]
-        return tuple(sorted(ids[k] for k in hits.tolist()))
-
-    def add(self, spec: NodeSpec):
-        pos = int(np.searchsorted(self.lats, spec.latitude))
-        self.ids.insert(pos, spec.node_id)
-        self.lats = np.insert(self.lats, pos, spec.latitude)
-        self.lons = np.insert(self.lons, pos, spec.longitude)
-        self.rads = np.insert(self.rads, pos, spec.radius)
-        self.r_max = max(self.r_max, spec.radius)
-        found = self._scan(spec, pos)
-        candidates, nid = self.candidates, spec.node_id
-        for other in found:
-            candidates[other] = tuple(sorted((*candidates[other], nid)))
-        candidates[nid] = found
-
-    def remove(self, spec: NodeSpec):
-        pos = self._position(spec)
-        del self.ids[pos]
-        self.lats = np.delete(self.lats, pos)
-        self.lons = np.delete(self.lons, pos)
-        self.rads = np.delete(self.rads, pos)
-        candidates, nid = self.candidates, spec.node_id
-        for other in candidates.pop(nid):
-            candidates[other] = tuple(x for x in candidates[other] if x != nid)
 
 
 class _Node:
@@ -375,11 +334,12 @@ class Simulation:
         for ev in events:
             if ev.op == "join":
                 joined.append(self._create_node(ev.node, join_round=self.round))
-                self.oracle.add(ev.node)
             else:
                 if ev.node_id not in self.nodes:
                     raise UnknownNodeError(ev.node_id)
-                self.oracle.remove(self.nodes.pop(ev.node_id).spec)
+                del self.nodes[ev.node_id]
+        if events:
+            self.oracle = LatitudeIndex([node.spec for node in self.nodes.values()])
         # not one that a later event of the round took out again; by
         # identity, as the same id may have joined once more since
         self._bootstrap([node for node in joined if self.nodes.get(node.spec.node_id) is node],

@@ -132,15 +132,12 @@ def exhaustive_candidates(specs):
 
 def batched_build(specs):
     """The oracle's batched build over specs, as id sets, after checking
-    every member's tuple against the join path's scan of that member and
-    against the exhaustive set."""
+    every member's tuple against the exhaustive set.  The build is the
+    oracle's only path: a churned round builds a new index."""
     index = LatitudeIndex(specs)
     want = exhaustive_candidates(specs)
     assert index.candidates.keys() == want.keys()
-    by_id = {spec.node_id: spec for spec in specs}
-    for pos, nid in enumerate(index.ids):
-        got = index.candidates[nid]
-        assert got == index._scan(by_id[nid], pos)
+    for nid, got in index.candidates.items():
         assert set(got) == want[nid]
     return oracle_sets(index.candidates)
 
@@ -176,9 +173,29 @@ class TestLatitudeIndex:
             assert oracle_sets(candidates) == exhaustive_candidates(live)
             assert LatitudeIndex(live).candidates == candidates
 
+    def test_only_a_churned_round_builds_a_new_index(self):
+        sc = small_scenario()
+        big = max(sc.nodes, key=lambda s: s.radius)
+        joiner = NodeSpec(10_000, sc.nodes[0].latitude, sc.nodes[0].longitude, 250.0)
+        sc = replace(sc, churn=(ChurnEvent(1, "join", node=joiner),
+                                ChurnEvent(3, "leave", node_id=big.node_id)))
+        sim = Simulation(sc)
+        for r in range(4):
+            before = sim.oracle
+            sim.step()
+            if r in (0, 2):
+                assert sim.oracle is before
+                continue
+            assert sim.oracle is not before
+            live = [node.spec for node in sim.nodes.values()]
+            assert sim.oracle.candidates == LatitudeIndex(live).candidates
+            assert oracle_sets(sim.oracle.candidates) == exhaustive_candidates(live)
+        # the band narrows once the largest disk has left
+        assert sim.oracle.r_max == max(spec.radius for spec in live) < big.radius
+
     def test_values_are_increasing_tuples_of_the_exhaustive_set(self, churned_oracles):
-        # each join and leave rebuilds the tuples it touches: they stay
-        # sorted, hold no duplicate and never name their owner
+        # each churned round builds a new index: its tuples are sorted,
+        # hold no duplicate and never name their owner
         for candidates, live in churned_oracles:
             want = exhaustive_candidates(live)
             assert candidates.keys() == want.keys()
@@ -290,8 +307,8 @@ class TestLatitudeIndex:
                                                         to_window, ulps):
         """A pair in the owner's band, its longitude gap a few ulps either
         side of the owner's window or of the gap where the kernel's
-        distance reaches the radius sum: the build and the join scan must
-        decide it as the exhaustive scan does."""
+        distance reaches the radius sum: the build must decide it as the
+        exhaustive scan does."""
         lat1 = min(89.9999, max(-89.9999, lat0 + share * (r0 + r1) / METERS_PER_DEG_LAT))
         if to_window:
             index = LatitudeIndex([NodeSpec(1, lat0, lon0, r0), NodeSpec(2, lat1, lon0, r1)])
